@@ -29,15 +29,7 @@ from .counting import (
     verify_route_agreement,
     zero_component_spectrum,
 )
-from .exactmat import (
-    CountMatrix,
-    Spectrum,
-    amplitude_estimate,
-    dominant_eigenvalue,
-    mat_mul,
-    mat_pow,
-    selected_trace,
-)
+from .exactmat import Spectrum, amplitude_estimate, dominant_eigenvalue
 from .oracle import Multigraph, build_grid, count_grid, count_two_factors
 from .recurrence import (
     RationalGF,
@@ -52,15 +44,12 @@ from .transfer import (
     ComponentCensus,
     ResourceLimitError,
     TransferDigraph,
-    VertexRelation,
     build_full,
     build_glued,
     build_reduced,
     column_sets,
     components,
     component_subdigraph,
-    hconversion_matrix,
-    rotation_matrix,
 )
 
 __version__ = "0.1.0"

@@ -1,14 +1,8 @@
-"""Hot construction kernels with a numba fast path and a pure-numpy fallback.
+"""The hot construction kernel: the reduced transfer matrix, in numpy.
 
 Building the reduced transfer matrix sweeps all 4^m (inlet, outlet) word
-pairs and is the one genuinely hot inner loop in the package (everything
-downstream is small dense matrices or arbitrary-precision arithmetic, which
-numba cannot accelerate).  The backend is picked by the environment variable
-
-    GRIDCYCLES_KERNEL = auto | numba | numpy      (default: auto)
-
-``auto`` uses numba when it imports, else numpy.  Both paths produce
-identical matrices; ``benchmarks/bench_kernels.py`` compares them.
+pairs and is the one genuinely hot inner loop in the package; everything
+downstream is small dense matrices or arbitrary-precision arithmetic.
 
 Entry values: for one (inlet bit u, outlet bit w) position the letter's
 (up, down) bits follow a 2x2 0/1 transition matrix on the running "up" bit
@@ -21,65 +15,19 @@ of the m position matrices (0, 1 or 2), cf. alphabet.count_io_words.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
+def reduced_adjacency(m: int, row_chunk: int = 1 << 11) -> np.ndarray:
+    """Dense 2^m x 2^m multiplicity matrix of the reduced transfer digraph.
 
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_ENV_FLAG = "GRIDCYCLES_KERNEL"
-
-
-def active_backend() -> str:
-    """Resolve the kernel backend from the environment ('numba' or 'numpy')."""
-    choice = os.environ.get(_ENV_FLAG, "auto").lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{_ENV_FLAG} must be auto, numba or numpy, got {choice!r}")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return choice
-
-
-@njit(cache=True)
-def _reduced_adjacency_numba(m: int) -> np.ndarray:  # pragma: no cover - jit
-    size = 1 << m
-    out = np.empty((size, size), dtype=np.uint8)
-    for u in range(size):
-        for w in range(size):
-            p00, p01, p10, p11 = 1, 0, 0, 1
-            for j in range(m):
-                ub = (u >> (m - 1 - j)) & 1
-                wb = (w >> (m - 1 - j)) & 1
-                m00 = ub & wb
-                m01 = ub ^ wb
-                m11 = (1 - ub) & (1 - wb)
-                # position matrix [[m00, m01], [m01, m11]]
-                q00 = p00 * m00 + p01 * m01
-                q01 = p00 * m01 + p01 * m11
-                q10 = p10 * m00 + p11 * m01
-                q11 = p10 * m01 + p11 * m11
-                p00, p01, p10, p11 = q00, q01, q10, q11
-            out[u, w] = p00 + p11
-    return out
-
-
-def _reduced_adjacency_numpy(m: int, row_chunk: int = 1 << 11) -> np.ndarray:
+    Entry (u, w) counts column words with inlet u and outlet w (0, 1 or 2);
+    row/column index encodes the binary word with its first row as the most
+    significant bit.  Rows are built ``row_chunk`` at a time to bound the
+    temporaries.
+    """
+    if m < 1:
+        raise ValueError(f"width must be >= 1, got {m}")
     size = 1 << m
     out = np.empty((size, size), dtype=np.uint8)
     w = np.arange(size, dtype=np.int64)
@@ -104,17 +52,3 @@ def _reduced_adjacency_numpy(m: int, row_chunk: int = 1 << 11) -> np.ndarray:
             p00, p01, p10, p11 = q00, q01, q10, q11
         out[start : start + shape[0]] = p00 + p11
     return out
-
-
-def reduced_adjacency(m: int) -> np.ndarray:
-    """Dense 2^m x 2^m multiplicity matrix of the reduced transfer digraph.
-
-    Entry (u, w) counts column words with inlet u and outlet w (0, 1 or 2);
-    row/column index encodes the binary word with its first row as the most
-    significant bit.
-    """
-    if m < 1:
-        raise ValueError(f"width must be >= 1, got {m}")
-    if active_backend() == "numba":
-        return _reduced_adjacency_numba(m)
-    return _reduced_adjacency_numpy(m)

@@ -95,7 +95,7 @@ class RunReport:
 
 def suite_series(max_n: int = 25) -> RunReport:
     """Computed counts against every shipped reference series, plus the
-    agreement of the full/reduced/glued routes."""
+    agreement of the full route with the production route."""
     report = RunReport("series")
     for family, m, p in refdata.series_keys():
         ref = list(refdata.reference_series(family, m, p))[:max_n]
@@ -449,16 +449,13 @@ def cmd_digraph(args) -> int:
         stats["zero_component"] = census.sizes[census.zero_id]
         stats["ones_component"] = census.sizes[census.ones_id]
     if args.kind == "reduced":
-        spectra = counting.component_spectra(args.m, tol=1e-10)
+        spectra = counting.component_spectra(d, census, tol=1e-10)
         thetas = [s.theta for s in spectra]
         # the observed (unproven) coincidence: the whole digraph's spectral
         # radius against the 1^m component's; both reported, never assumed
-        census_full = transfer.components(d)
         stats["component_eigenvalues"] = [round(t, 10) for t in thetas]
         stats["max_eigenvalue"] = round(max(thetas), 10)
-        stats["ones_component_eigenvalue"] = round(
-            thetas[census_full.ones_id], 10
-        )
+        stats["ones_component_eigenvalue"] = round(thetas[census.ones_id], 10)
     if args.json:
         print(json.dumps(stats))
     else:

@@ -7,21 +7,24 @@ Families (CLI vocabulary in parentheses):
   under a cyclic shift by p;
 * Klein bottle (``kb``): same gluing with the column order reversed.
 
-Each count has up to three routes that must agree:
+Each count has two routes that must agree:
 
-* ``reduced`` — walk counts on the reduced transfer digraph.  The
-  thin-cylinder count is the (0^m, 0^m) walk count; torus and Klein-bottle
-  counts are selected traces pairing each vertex with its rotation
-  (resp. reversed rotation) image, evaluated per strongly connected
-  component of the reduced digraph.
-* ``full``    — walk counts on the full digraph of column words.
-* ``glued``   — thin cylinder only: walk counts on the dihedral quotient.
+* production — the thin-cylinder count is the (0^m, 0^m) walk count on the
+  glued quotient (the all-zero component of the reduced digraph folded by
+  rotation and reversal).  Torus and Klein-bottle counts are selected
+  traces of powers of the reduced digraph, pairing each vertex with its
+  rotation (resp. reversed rotation) image, evaluated per strongly
+  connected component.  The methods ``reduced`` and ``glued`` both name
+  this route for the thin cylinder; ``glued`` applies to it alone.
+* ``full`` — walk counts on the full digraph of column words, the
+  independent cross-check.
 
 Series values are Python integers (exact).  Engines advance one
 matrix/vector step per term and cache their progress per width, so asking
 for more terms or another twist extends earlier work instead of
-recomputing powers.  Each cached engine carries a lock; distinct widths
-can safely be driven from different threads.
+recomputing powers.  Each engine is built under its own lock and carries
+another for its steps, so distinct widths can be built and driven from
+different threads at once.
 """
 
 from __future__ import annotations
@@ -43,11 +46,10 @@ from .transfer import ResourceLimitError
 
 FAMILIES = ("tnc", "tg", "kb")
 
-# Documented route limits (see README).  The dense reduced matrix and the
-# full word digraph grow as 2^m and 3^m; torus/Klein traces additionally
-# keep full matrix powers per component.
-FULL_ROUTE_LIMIT = 8
-TNC_REDUCED_LIMIT = 12
+# Documented route limits (see README; the full route is capped by
+# transfer.FULL_MATRIX_LIMIT).  Torus/Klein traces keep full matrix powers
+# per component of the 2^m reduced digraph; beyond m = 14 the glued
+# quotient's ~3^m word enumeration dominates.
 TG_KB_REDUCED_LIMIT = 10
 GLUED_ROUTE_LIMIT = 14
 
@@ -170,28 +172,18 @@ class _ReducedTraceEngine:
 
 
 class _TncVectorEngine:
-    """Per-width engine for thin-cylinder counts on one small matrix.
+    """Per-width engine for thin-cylinder counts on the glued quotient.
 
-    ``reduced`` flavour: the all-zero component of the reduced digraph,
-    tracking the first basis column of its powers.  ``glued`` flavour: the
-    dihedral quotient, tracking the first basis row (its matrix is not
-    symmetric).  Either way the count is the leading diagonal entry.
+    Tracks the first basis row of the quotient's powers (its matrix is not
+    symmetric); the count is the leading diagonal entry.
     """
 
-    def __init__(self, m: int, flavor: str):
+    def __init__(self, m: int):
         self.lock = threading.RLock()
-        if flavor == "reduced":
-            d = transfer.build_reduced(m)
-            census = transfer.components(d)
-            sub = transfer.component_subdigraph(d, census, census.zero_id)
-            assert sub.vertices[0] == "0" * m
-            rows = [[int(x) for x in row] for row in sub.adj]
-            self.step_rows = rows  # symmetric: column = row
-        else:
-            d = transfer.build_glued(m)
-            assert d.vertices[0] == "0" * m
-            rows = [[int(x) for x in row] for row in d.adj]
-            self.step_rows = [list(col) for col in zip(*rows)]  # left action
+        d = transfer.build_glued(m)
+        assert d.vertices[0] == "0" * m
+        rows = [[int(x) for x in row] for row in d.adj]
+        self.step_rows = [list(col) for col in zip(*rows)]  # left action
         self.vec = [1] + [0] * (len(rows) - 1)
         self.values: list[int] = []
 
@@ -214,10 +206,6 @@ class _FullWalkEngine:
     """
 
     def __init__(self, m: int):
-        if m > FULL_ROUTE_LIMIT:
-            raise ResourceLimitError(
-                f"full route limited to m <= {FULL_ROUTE_LIMIT}, got {m}"
-            )
         self.m = m
         self.lock = threading.RLock()
         words = enumerate_column_words(m)
@@ -284,50 +272,49 @@ class _FullWalkEngine:
             return store[p][:terms]
 
 
+# engine kind -> (width limit, route name for the limit error)
+_LIMITS = {
+    "trace": (TG_KB_REDUCED_LIMIT, "torus/Klein reduced route"),
+    "tnc": (GLUED_ROUTE_LIMIT, "glued route"),
+    "full": (transfer.FULL_MATRIX_LIMIT, "full route"),
+}
 _ENGINES: dict[tuple[str, int], object] = {}
-_ENGINE_LOCK = threading.Lock()
+_BUILD_LOCKS: dict[tuple[str, int], threading.Lock] = {}
+_ENGINE_LOCK = threading.Lock()  # guards the two dictionaries, never a build
 
 
 def _engine(kind: str, m: int):
+    limit, route = _LIMITS[kind]
+    if m > limit:
+        raise ResourceLimitError(f"{route} limited to m <= {limit}, got {m}")
+    key = (kind, m)
     with _ENGINE_LOCK:
-        key = (kind, m)
-        if key not in _ENGINES:
+        engine = _ENGINES.get(key)
+        if engine is not None:
+            return engine
+        build_lock = _BUILD_LOCKS.setdefault(key, threading.Lock())
+    with build_lock:
+        with _ENGINE_LOCK:
+            engine = _ENGINES.get(key)
+        if engine is None:
             if kind == "trace":
-                if m > TG_KB_REDUCED_LIMIT:
-                    raise ResourceLimitError(
-                        f"torus/Klein reduced route limited to m <= "
-                        f"{TG_KB_REDUCED_LIMIT}, got {m}"
-                    )
-                _ENGINES[key] = _ReducedTraceEngine(m)
-            elif kind == "tnc-reduced":
-                if m > TNC_REDUCED_LIMIT:
-                    raise ResourceLimitError(
-                        f"thin-cylinder reduced route limited to m <= "
-                        f"{TNC_REDUCED_LIMIT}, got {m}"
-                    )
-                _ENGINES[key] = _TncVectorEngine(m, "reduced")
-            elif kind == "tnc-glued":
-                if m > GLUED_ROUTE_LIMIT:
-                    raise ResourceLimitError(
-                        f"glued route limited to m <= {GLUED_ROUTE_LIMIT}, got {m}"
-                    )
-                _ENGINES[key] = _TncVectorEngine(m, "glued")
-            elif kind == "full":
-                _ENGINES[key] = _FullWalkEngine(m)
-            else:  # pragma: no cover
-                raise ValueError(kind)
-        return _ENGINES[key]
+                engine = _ReducedTraceEngine(m)
+            elif kind == "tnc":
+                engine = _TncVectorEngine(m)
+            else:
+                engine = _FullWalkEngine(m)
+            with _ENGINE_LOCK:
+                _ENGINES[key] = engine
+    return engine
 
 
 def _series_values(family: str, m: int, p: int, terms: int, method: str) -> list[int]:
     if method not in ("full", "reduced", "glued"):
         raise ValueError(f"unknown method {method!r}")
     if family == "tnc":
-        if method == "reduced":
-            return _engine("tnc-reduced", m).extend(terms)
-        if method == "glued":
-            return _engine("tnc-glued", m).extend(terms)
-        return _engine("full", m).extend_tnc(terms)
+        if method == "full":
+            return _engine("full", m).extend_tnc(terms)
+        return _engine("tnc", m).extend(terms)
     if method == "glued":
         raise ValueError("the glued route applies to the thin cylinder only")
     if method == "reduced":
@@ -354,7 +341,8 @@ def count(spec: GridSpec, method: str = "reduced") -> int:
 
 
 def count_tnc(m: int, n: int, method: str = "reduced") -> int:
-    """Thin-cylinder count; all three methods agree."""
+    """Thin-cylinder count; ``reduced`` and ``glued`` name the same route and
+    ``full`` cross-checks it."""
     return count(GridSpec("tnc", m, 0, n), method)
 
 
@@ -369,19 +357,13 @@ def count_kb(m: int, p: int, n: int, method: str = "reduced") -> int:
 
 
 def verify_route_agreement(m: int, p: int, n: int) -> bool:
-    """Do the full-digraph and reduced-digraph routes agree for all three
-    families up to length n (and the glued route for the thin cylinder)?"""
-    tnc_reduced = _series_values("tnc", m, 0, n, "reduced")
-    if tnc_reduced != _series_values("tnc", m, 0, n, "full"):
-        return False
-    if tnc_reduced != _series_values("tnc", m, 0, n, "glued"):
-        return False
-    for family in ("tg", "kb"):
-        if _series_values(family, m, p, n, "reduced") != _series_values(
-            family, m, p, n, "full"
-        ):
-            return False
-    return True
+    """Does the full-digraph route agree with the production route for all
+    three families up to length n?"""
+    return all(
+        _series_values(family, m, p, n, "reduced")
+        == _series_values(family, m, p, n, "full")
+        for family in FAMILIES
+    )
 
 
 def zero_component_spectrum(m: int, tol: float = 1e-12) -> Spectrum:
@@ -393,13 +375,13 @@ def zero_component_spectrum(m: int, tol: float = 1e-12) -> Spectrum:
     return dominant_eigenvalue(sub.adj.astype(float), tol=tol)
 
 
-def component_spectra(m: int, tol: float = 1e-12) -> list[Spectrum]:
-    """Dominant eigenvalue of every component of the reduced digraph, in
-    census order.  Exposed so the (observed, unproven) agreement between the
-    whole digraph's spectral radius and its 1^m component can be inspected
-    rather than assumed."""
-    d = transfer.build_reduced(m)
-    census = transfer.components(d)
+def component_spectra(
+    d: transfer.TransferDigraph, census: transfer.ComponentCensus, tol: float = 1e-12
+) -> list[Spectrum]:
+    """Dominant eigenvalue of every component of a reduced digraph, in the
+    order of its census.  Exposed so the (observed, unproven) agreement
+    between the whole digraph's spectral radius and its 1^m component can be
+    inspected rather than assumed."""
     return [
         dominant_eigenvalue(
             transfer.component_subdigraph(d, census, comp).adj.astype(float), tol=tol

@@ -1,90 +1,17 @@
-"""Exact integer matrix arithmetic and dominant-eigenvalue estimation.
+"""Dominant-eigenvalue and amplitude estimation.
 
 Counts explode past 10^40 well inside the verified ranges, so every counting
-path works on Python integers; floats appear only in the spectral helpers.
-All public functions are pure and reentrant.
+path works on Python integers; floats appear only in these spectral
+helpers, and ratios of counts to powers of theta are formed exactly before
+they are rounded.  All public functions are pure and reentrant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from fractions import Fraction
 
 import numpy as np
-
-
-@dataclass(eq=False)
-class CountMatrix:
-    """Dense square matrix of arbitrary-precision integers, stored by rows."""
-
-    rows: list[list[int]]
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "CountMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_array(cls, arr) -> "CountMatrix":
-        return cls([[int(x) for x in row] for row in arr])
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CountMatrix) and self.rows == other.rows
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-    def is_symmetric(self) -> bool:
-        r = self.rows
-        return all(r[i][j] == r[j][i] for i in range(self.n) for j in range(i))
-
-    def to_float(self) -> np.ndarray:
-        return np.array(self.rows, dtype=float)
-
-
-def mat_mul(a: CountMatrix, b: CountMatrix) -> CountMatrix:
-    """Exact product; raises on incompatible orders."""
-    if a.n != b.n:
-        raise ValueError(f"order mismatch: {a.n} vs {b.n}")
-    cols = list(zip(*b.rows))
-    return CountMatrix(
-        [[sum(map(mul, row, col)) for col in cols] for row in a.rows]
-    )
-
-
-def mat_pow(a: CountMatrix, n: int) -> CountMatrix:
-    """Exact n-th power by binary exponentiation; a^0 is the identity."""
-    if n < 0:
-        raise ValueError("negative power")
-    result = CountMatrix.identity(a.n)
-    base = a
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base_needed = n > 1
-        n >>= 1
-        if base_needed:
-            base = mat_mul(base, base)
-    return result
-
-
-def selected_trace(p: CountMatrix, pairs) -> int:
-    """Sum of the entries p[i, j] over the given (i, j) pairs.
-
-    With pairs encoding a 0/1 relation matrix M this equals tr(M^T . P),
-    which is how the torus and Klein-bottle trace formulas are evaluated.
-    """
-    rows = p.rows
-    n = p.n
-    total = 0
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"pair ({i}, {j}) outside order {n}")
-        total += rows[i][j]
-    return total
 
 
 @dataclass
@@ -147,6 +74,8 @@ def amplitude_estimate(
 
     Estimated at the largest feasible n with a sliding mean over ``window``
     consecutive terms to damp the alternating subdominant contributions.
+    Each ratio is formed as an exact fraction, since the count alone leaves
+    the float range past about 1e308.
     """
     if family != "tnc":
         raise ValueError("amplitude estimation is provided for the tnc family")
@@ -154,5 +83,8 @@ def amplitude_estimate(
 
     theta = counting.zero_component_spectrum(m).theta
     values = counting.series(counting.GridSpec("tnc", m), n_max).values
-    ratios = [v / theta**n for n, v in enumerate(values[-window:], start=n_max - window + 1)]
+    ratios = [
+        float(Fraction(v) / Fraction(theta) ** n)
+        for n, v in enumerate(values[-window:], start=n_max - window + 1)
+    ]
     return sum(ratios) / len(ratios)

@@ -12,7 +12,7 @@ Three digraph granularities drive the counting routes:
   thin-cylinder count alone.
 
 Digraphs are immutable once built and may be shared across threads.
-Construction is single-threaded; the reduced matrix build dispatches to
+Construction is single-threaded; the reduced matrix is built by
 :mod:`gridcycles._kernels`.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from . import _kernels
 from .alphabet import (
     enumerate_column_words,
     first_column_words,
-    horizontal_convert,
     inlet,
     last_column_words,
     outlet,
@@ -102,32 +101,6 @@ class TransferDigraph:
             "vertices": list(self.vertices),
             "adj": [int(x) for x in self.adj.reshape(-1)],
         }
-
-
-@dataclass
-class VertexRelation:
-    """Rotation or reversal relation on a digraph's vertex order.
-
-    Stored as the permutation ``perm[i] = j`` with relation(v_i) = v_j; the
-    0/1 matrix form has r[i, j] = 1 at exactly those positions.  Rotation is
-    a permutation of order dividing m; the conversion flavor is an involution
-    and its matrix is symmetric.
-    """
-
-    flavor: str  # "rotation" | "hconversion"
-    perm: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        n = len(self.perm)
-        mat = np.zeros((n, n), dtype=np.uint8)
-        mat[np.arange(n), self.perm] = 1
-        return mat
-
-    def apply(self, i: int, times: int = 1) -> int:
-        for _ in range(times):
-            i = int(self.perm[i])
-        return i
 
 
 @dataclass
@@ -255,28 +228,6 @@ def build_glued(m: int) -> TransferDigraph:
         for j, target in enumerate(reps):
             adj[i, j] = sum(row.get(y, 0) for y in orbit_of[target])
     return TransferDigraph("glued", m, tuple(reps), adj)
-
-
-def _conversion(d: TransferDigraph) -> Callable[[str], str]:
-    return horizontal_convert if d.kind == "full" else reverse_binary
-
-
-def rotation_matrix(d: TransferDigraph) -> VertexRelation:
-    """Permutation relation v_i -> rotate(v_i) over the digraph's vertices."""
-    if d.kind == "glued":
-        raise ValueError("rotation relation is not defined on glued digraphs")
-    perm = np.array([d.index(rotate(v, 1)) for v in d.vertices])
-    return VertexRelation("rotation", perm)
-
-
-def hconversion_matrix(d: TransferDigraph) -> VertexRelation:
-    """Involution relation v_i -> horizontal conversion of v_i (word reversal
-    on the reduced digraph)."""
-    if d.kind == "glued":
-        raise ValueError("conversion relation is not defined on glued digraphs")
-    conv = _conversion(d)
-    perm = np.array([d.index(conv(v)) for v in d.vertices])
-    return VertexRelation("hconversion", perm)
 
 
 def _reach(start: Iterable[int], lists: list[list[int]], allowed: set[int]) -> set[int]:

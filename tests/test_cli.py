@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gridcycles import cli, refdata
+from gridcycles import cli, refdata, transfer
 
 
 def run(capsys, *argv):
@@ -73,6 +73,25 @@ def test_digraph_eigenvalue_report(capsys):
     # is reported, not asserted
     assert doc["max_eigenvalue"] == doc["ones_component_eigenvalue"]
     assert len(doc["component_eigenvalues"]) == 2
+
+
+def test_digraph_reduced_builds_once(capsys, monkeypatch):
+    calls = {"build_reduced": 0, "components": 0}
+
+    def counted(name):
+        real = getattr(transfer, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(transfer, name, counted(name))
+    code, out, _ = run(capsys, "digraph", "6", "--kind", "reduced", "--json")
+    assert code == 0 and json.loads(out)["components"] == 4
+    assert calls == {"build_reduced": 1, "components": 1}
 
 
 def test_digraph_dump(capsys):

@@ -1,3 +1,5 @@
+import sys
+import threading
 from collections import defaultdict
 
 import pytest
@@ -75,9 +77,80 @@ def test_glued_route_is_cylinder_only():
 
 def test_route_limits():
     with pytest.raises(tr.ResourceLimitError):
-        ct.count_tnc(ct.FULL_ROUTE_LIMIT + 1, 2, method="full")
+        ct.count_tnc(tr.FULL_MATRIX_LIMIT + 1, 2, method="full")
     with pytest.raises(tr.ResourceLimitError):
         ct.count_tg(ct.TG_KB_REDUCED_LIMIT + 1, 0, 2)
+    for method in ("reduced", "glued"):
+        with pytest.raises(tr.ResourceLimitError):
+            ct.count_tnc(ct.GLUED_ROUTE_LIMIT + 1, 2, method=method)
+
+
+def test_engine_builds_do_not_serialise_across_widths(monkeypatch):
+    # while one width's build blocks, another width's engine still builds,
+    # and a second request for the blocked width waits for that one build
+    real = ct._FullWalkEngine
+    entered, release = threading.Event(), threading.Event()
+    builds = []
+
+    def build(m):
+        builds.append(m)
+        if m == 3:
+            entered.set()
+            release.wait(10)
+        return real(m)
+
+    monkeypatch.setattr(ct, "_ENGINES", {})
+    monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
+    monkeypatch.setattr(ct, "_FullWalkEngine", build)
+
+    def request(m):
+        return threading.Thread(target=ct.count_tnc, args=(m, 2, "full"), daemon=True)
+
+    blocked, waiting, other = request(3), request(3), request(4)
+    blocked.start()
+    try:
+        assert entered.wait(5)
+        waiting.start()
+        other.start()
+        other.join(timeout=5)
+        assert not other.is_alive()
+    finally:
+        release.set()
+        for t in (blocked, waiting, other):
+            if t.ident is not None:
+                t.join(timeout=10)
+    assert not blocked.is_alive() and not waiting.is_alive()
+    assert sorted(builds) == [3, 4]
+
+
+def test_concurrent_requests_build_each_engine_once(monkeypatch):
+    real = ct._TncVectorEngine
+    builds = []
+
+    def build(m):
+        builds.append(m)
+        return real(m)
+
+    monkeypatch.setattr(ct, "_ENGINES", {})
+    monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
+    monkeypatch.setattr(ct, "_TncVectorEngine", build)
+    got = []
+    threads = [
+        threading.Thread(target=lambda m=m: got.append(ct._engine("tnc", m)), daemon=True)
+        for m in (2, 3, 4) * 4
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(builds) == [2, 3, 4]
+    assert len(got) == 12 and len({id(e) for e in got}) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +240,7 @@ def test_klein_twist_classes(m):
 
 def test_zero_component_spectrum():
     assert abs(ct.zero_component_spectrum(2).theta - 3.0) < 1e-10
-    spectra = ct.component_spectra(4)
+    d = tr.build_reduced(4)
+    spectra = ct.component_spectra(d, tr.components(d))
     assert len(spectra) == 3
     assert max(s.theta for s in spectra) == pytest.approx(6.372281323269014, abs=1e-9)

@@ -2,78 +2,88 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridcycles import counting, transfer
-from gridcycles.exactmat import (
-    CountMatrix,
-    amplitude_estimate,
-    dominant_eigenvalue,
-    mat_mul,
-    mat_pow,
-    selected_trace,
-)
+from gridcycles import counting, refdata, transfer
+from gridcycles.counting import _matmul_rows
+from gridcycles.exactmat import amplitude_estimate, dominant_eigenvalue
 
-N2 = CountMatrix([[1, 2], [2, 1]])  # zero component of width 2
-B2 = CountMatrix([[0, 2], [2, 0]])
+N2 = [[1, 2], [2, 1]]  # zero component of width 2
+B2 = [[0, 2], [2, 0]]
+
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(0, 9), min_size=n, max_size=n), min_size=n, max_size=n
-    ).map(CountMatrix)
+    )
 )
 
 
-def test_mat_mul_examples():
-    eye = CountMatrix.identity(2)
-    assert mat_mul(eye, N2) == N2
-    assert mat_mul(N2, N2).rows == [[5, 4], [4, 5]]
-    with pytest.raises(ValueError):
-        mat_mul(N2, CountMatrix.identity(3))
+def _matmul(a, b):
+    return _matmul_rows(a, list(zip(*b)))
 
 
-def test_mat_pow_examples():
-    assert mat_pow(N2, 0) == CountMatrix.identity(2)
-    assert mat_pow(N2, 1) == N2
-    assert mat_pow(N2, 3).entry(0, 0) == 13
-    with pytest.raises(ValueError):
-        mat_pow(N2, -1)
+def _matpow(a, n):
+    result = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    for _ in range(n):
+        result = _matmul(result, a)
+    return result
 
 
-def test_power_entry_reproduces_cylinder_counts():
-    for n in range(1, 12):
-        assert mat_pow(N2, n).entry(0, 0) == counting.count_tnc(2, n)
+def test_matmul_rows_examples():
+    # the exact product the torus/Klein engine steps with
+    eye = [[1, 0], [0, 1]]
+    assert _matmul(eye, N2) == N2
+    assert _matmul(N2, N2) == [[5, 4], [4, 5]]
+    assert _matmul(N2, B2) == [[4, 2], [2, 4]]
 
 
 @settings(max_examples=60)
 @given(small_matrices, st.integers(0, 6), st.integers(0, 6))
 def test_pow_addition_law(a, i, j):
-    assert mat_pow(a, i + j) == mat_mul(mat_pow(a, i), mat_pow(a, j))
+    assert _matpow(a, i + j) == _matmul(_matpow(a, i), _matpow(a, j))
+
+
+def test_power_entry_reproduces_cylinder_counts():
+    d = transfer.build_reduced(2)
+    census = transfer.components(d)
+    sub = transfer.component_subdigraph(d, census, census.zero_id)
+    a = sub.adj.astype(object)
+    assert a.tolist() == N2
+    zero = sub.index("00")
+    for n in range(1, 12):
+        assert np.linalg.matrix_power(a, n)[zero, zero] == counting.count_tnc(2, n)
 
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_symmetric_powers_stay_symmetric(m):
-    d = transfer.build_reduced(m)
-    a = CountMatrix.from_array(d.adj)
-    p = CountMatrix.identity(a.n)
-    for _ in range(50):
-        p = mat_mul(p, a)
-        assert p.is_symmetric()
+    engine = counting._ReducedTraceEngine(m)
+    for terms in range(2, 51):
+        engine.extend(terms)
+        for power in engine.powers:
+            assert power == [list(col) for col in zip(*power)]
 
 
-def test_selected_trace():
-    p2 = mat_pow(N2, 2)
-    assert selected_trace(p2, [(0, 0), (1, 1)]) == 10
-    # both components of width 2 together give the torus count
-    b2 = mat_pow(B2, 2)
-    assert selected_trace(p2, [(0, 0), (1, 1)]) + selected_trace(
-        b2, [(0, 0), (1, 1)]
-    ) == 18 == counting.count_tg(2, 0, 2)
-    with pytest.raises(IndexError):
-        selected_trace(p2, [(0, 2)])
+def test_torus_count_is_sum_of_component_traces():
+    # the torus count pairs every vertex with itself at twist 0: the sum of
+    # the traces of the component powers
+    d = transfer.build_reduced(2)
+    census = transfer.components(d)
+    blocks = [
+        transfer.component_subdigraph(d, census, comp)
+        for comp in range(census.n_components)
+    ]
+    assert sorted(b.adj.tolist() for b in blocks) == sorted([N2, B2])
+    for n in range(1, 8):
+        total = sum(
+            int(np.trace(np.linalg.matrix_power(b.adj.astype(object), n)))
+            for b in blocks
+        )
+        assert total == counting.count_tg(2, 0, n)
+    assert counting.count_tg(2, 0, 2) == 18
 
 
 def test_dominant_eigenvalue_examples():
     assert dominant_eigenvalue(np.array([[4.5]])).theta == 4.5
-    s = dominant_eigenvalue(N2.to_float())
+    s = dominant_eigenvalue(np.array(N2, dtype=float))
     assert abs(s.theta - 3.0) < 1e-11
     assert s.residual <= 1e-12
     d = transfer.build_reduced(4)
@@ -85,7 +95,7 @@ def test_dominant_eigenvalue_examples():
 
 def test_dominant_eigenvalue_periodic_component():
     # bipartite component: plain power iteration would oscillate
-    s = dominant_eigenvalue(B2.to_float())
+    s = dominant_eigenvalue(np.array(B2, dtype=float))
     assert abs(s.theta - 2.0) < 1e-11
 
 
@@ -114,6 +124,12 @@ def test_nonconvergence_reported():
 )
 def test_amplitude_estimates(m, expected):
     assert abs(amplitude_estimate(m) - expected) <= 1e-6
+
+
+def test_amplitude_past_the_float_range():
+    # counts at m = 8, n = 240 exceed 1e308; the ratio is formed exactly
+    expected = float(refdata.tables()["amplitude_tnc"]["8"])
+    assert abs(amplitude_estimate(8, n_max=240) - expected) <= 1e-9
 
 
 def test_amplitude_only_for_cylinders():

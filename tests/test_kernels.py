@@ -7,46 +7,20 @@ from gridcycles import alphabet as al
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_numpy_kernel_matches_reference(m):
-    got = kn._reduced_adjacency_numpy(m)
+    got = kn.reduced_adjacency(m)
     for u in range(1 << m):
         for w in range(1 << m):
             expect = al.count_io_words(format(u, f"0{m}b"), format(w, f"0{m}b"))
             assert got[u, w] == expect, (m, u, w)
 
 
-@pytest.mark.skipif(not kn.HAVE_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 10])
-def test_backends_agree(m):
-    a = kn._reduced_adjacency_numba(m)
-    b = kn._reduced_adjacency_numpy(m)
-    assert np.array_equal(a, b)
-
-
 def test_numpy_kernel_chunking():
     # chunk boundary smaller than the matrix exercises the block path
-    full = kn._reduced_adjacency_numpy(6)
-    chunked = kn._reduced_adjacency_numpy(6, row_chunk=5)
+    full = kn.reduced_adjacency(6)
+    chunked = kn.reduced_adjacency(6, row_chunk=5)
     assert np.array_equal(full, chunked)
 
 
-def test_backend_dispatch(monkeypatch):
-    monkeypatch.setenv(kn._ENV_FLAG, "numpy")
-    assert kn.active_backend() == "numpy"
-    monkeypatch.setenv(kn._ENV_FLAG, "bogus")
-    with pytest.raises(ValueError):
-        kn.active_backend()
-    if kn.HAVE_NUMBA:
-        monkeypatch.setenv(kn._ENV_FLAG, "numba")
-        assert kn.active_backend() == "numba"
-    monkeypatch.delenv(kn._ENV_FLAG)
-    assert kn.active_backend() in ("numba", "numpy")
-
-
-def test_reduced_adjacency_uses_env(monkeypatch):
-    monkeypatch.setenv(kn._ENV_FLAG, "numpy")
-    a = kn.reduced_adjacency(4)
-    monkeypatch.delenv(kn._ENV_FLAG)
-    b = kn.reduced_adjacency(4)
-    assert np.array_equal(a, b)
+def test_reduced_adjacency_rejects_zero_width():
     with pytest.raises(ValueError):
         kn.reduced_adjacency(0)

@@ -1,0 +1,39 @@
+import importlib
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from gridcycles import counting, oracle, transfer
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_declared_dependencies_import():
+    import tomllib
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert deps
+    for dep in deps:
+        name = re.match(r"[A-Za-z0-9_.-]+", dep).group(0)
+        importlib.import_module(name.replace("-", "_"))
+
+
+def test_readme_limits_match_constants():
+    text = (ROOT / "README.md").read_text()
+    table = text.split("## Practical limits", 1)[1].split("\n\n")[2]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        route, limit, _ = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[route] = int(re.search(r"\d+", limit).group(0))
+    assert rows == {
+        "full digraph walks": transfer.FULL_MATRIX_LIMIT,
+        "reduced dense matrix": transfer.REDUCED_DENSE_LIMIT,
+        "thin-cylinder counts (glued quotient)": counting.GLUED_ROUTE_LIMIT,
+        "torus/Klein counts (trace route)": counting.TG_KB_REDUCED_LIMIT,
+        "glued quotient construction": transfer.GLUED_LIMIT,
+        "brute-force oracle": oracle.MAX_EDGES,
+    }

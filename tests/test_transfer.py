@@ -97,55 +97,67 @@ def test_reduced_limit():
 
 
 # ---------------------------------------------------------------------------
-# rotation / conversion relations
+# rotation / reversal relations
 # ---------------------------------------------------------------------------
+
+
+def relation(d, fn):
+    """Vertex permutation perm[i] = index of fn(v_i)."""
+    return np.array([d.index(fn(v)) for v in d.vertices])
+
+
+def rotation(d):
+    return relation(d, lambda v: al.rotate(v, 1))
+
+
+def reversal(d):
+    return relation(d, al.reverse_binary)
 
 
 def test_rotation_cycle_m4():
     d = tr.build_reduced(4)
-    rot = tr.rotation_matrix(d)
+    rot = rotation(d)
     cycle = ["0011", "0110", "1100", "1001"]
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        assert rot.perm[d.index(a)] == d.index(b)
+        assert rot[d.index(a)] == d.index(b)
 
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_relation_properties(m):
     d = tr.build_reduced(m)
-    rot = tr.rotation_matrix(d)
-    conv = tr.hconversion_matrix(d)
+    rot = rotation(d)
+    conv = reversal(d)
     zero, ones = d.index("0" * m), d.index("1" * m)
-    assert rot.perm[zero] == zero and rot.perm[ones] == ones
-    assert conv.perm[zero] == zero and conv.perm[ones] == ones
-    # rotation has order dividing m; conversion is an involution
+    assert rot[zero] == zero and rot[ones] == ones
+    assert conv[zero] == zero and conv[ones] == ones
+    # rotation has order dividing m; reversal is an involution
     idx = np.arange(len(d))
     acc = idx
     for _ in range(m):
-        acc = rot.perm[acc]
+        acc = rot[acc]
     assert np.array_equal(acc, idx)
-    assert np.array_equal(conv.perm[conv.perm], idx)
-
-
-def test_relation_matrices_shapes():
-    d = tr.build_reduced(3)
-    rot = tr.rotation_matrix(d)
-    conv = tr.hconversion_matrix(d)
-    assert rot.matrix.sum() == len(d)  # permutation matrix
-    assert np.array_equal(conv.matrix, conv.matrix.T)
+    assert np.array_equal(conv[conv], idx)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_rotation_is_an_automorphism(m):
     d = tr.build_reduced(m)
-    perm = tr.rotation_matrix(d).perm
+    perm = rotation(d)
+    assert np.array_equal(d.adj[np.ix_(perm, perm)], d.adj)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_reversal_is_an_automorphism(m):
+    d = tr.build_reduced(m)
+    perm = reversal(d)
     assert np.array_equal(d.adj[np.ix_(perm, perm)], d.adj)
 
 
 def test_full_hconversion_relation():
+    # horizontal conversion permutes the full digraph's vertices
     d = tr.build_full(3)
-    conv = tr.hconversion_matrix(d)
-    for i, w in enumerate(d.vertices):
-        assert d.vertices[conv.perm[i]] == al.horizontal_convert(w)
+    perm = relation(d, al.horizontal_convert)
+    assert sorted(perm) == list(range(len(d)))
 
 
 # ---------------------------------------------------------------------------
