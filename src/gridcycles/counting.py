@@ -13,9 +13,9 @@ Each count has two routes that must agree:
   glued quotient (the all-zero component of the reduced digraph folded by
   rotation and reversal).  Torus and Klein-bottle counts are selected
   traces of powers of the reduced digraph, pairing each vertex with its
-  rotation (resp. reversed rotation) image, evaluated per strongly
-  connected component.  The methods ``reduced`` and ``glued`` both name
-  this route for the thin cylinder; ``glued`` applies to it alone.
+  rotation (resp. reversed rotation) image, read off one column of the
+  power per rotation orbit.  The methods ``reduced`` and ``glued`` both
+  name this route for the thin cylinder; ``glued`` applies to it alone.
 * ``full`` — walk counts on the full digraph of column words, the
   independent cross-check.
 
@@ -33,6 +33,8 @@ import threading
 from dataclasses import dataclass
 from operator import mul
 
+import numpy as np
+
 from . import transfer
 from .alphabet import (
     enumerate_column_words,
@@ -47,10 +49,10 @@ from .transfer import ResourceLimitError
 FAMILIES = ("tnc", "tg", "kb")
 
 # Documented route limits (see README; the full route is capped by
-# transfer.FULL_MATRIX_LIMIT).  Torus/Klein traces keep full matrix powers
-# per component of the 2^m reduced digraph; beyond m = 14 the glued
+# transfer.FULL_MATRIX_LIMIT).  Torus/Klein traces step one big-int vector
+# per rotation orbit, about 0.5 s a term at m = 11; beyond m = 14 the glued
 # quotient's ~3^m word enumeration dominates.
-TG_KB_REDUCED_LIMIT = 10
+TG_KB_REDUCED_LIMIT = 11
 GLUED_ROUTE_LIMIT = 14
 
 
@@ -99,76 +101,70 @@ class Series:
         return "".join(f"{n} {v}\n" for n, v in enumerate(self.values, start=1))
 
 
-def _matmul_rows(a: list[list[int]], b_cols: list[tuple[int, ...]]) -> list[list[int]]:
-    return [[sum(map(mul, row, col)) for col in b_cols] for row in a]
-
-
 def _matvec(rows: list[list[int]], v: list[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in rows]
 
 
-class _ReducedTraceEngine:
+class _OrbitTraceEngine:
     """Per-width engine for torus/Klein counts.
 
-    Keeps the running n-th power of each component block of the reduced
-    transfer matrix and records, at every step, the selected traces for all
-    2m (family, twist) combinations; the per-step trace cost is negligible
-    next to the block multiplications.
+    Keeps v_r = A^n e_r, A the reduced transfer matrix, as one full-length
+    big-int list per rotation-orbit representative r (its least word).  A
+    is symmetric and commutes with the rotation R, so with k over the
+    |orbit(r)| members, tg(n, p) = sum_r sum_k v_r[R^p r] and
+    kb(n, p) = sum_r sum_k v_r[R^(-p-2k) rev(r)]; ``reads[family][p][j]``
+    lists those positions for representative j.  A step computes only the
+    rows of r's component, outside which v_r is zero; each row lists its
+    successors repeated by multiplicity.
     """
 
     def __init__(self, m: int):
-        self.m = m
         self.lock = threading.RLock()
         d = transfer.build_reduced(m)
-        census = transfer.components(d)
-        self.blocks: list[tuple[list[list[int]], list[tuple[int, ...]]]] = []
-        self.srcmaps_tg: list[list[list[int]]] = []  # [p][block] -> local map
-        self.srcmaps_kb: list[list[list[int]]] = []
-        per_block_rot: list[list[int]] = []
-        per_block_rev: list[list[int]] = []
-        for comp in range(census.n_components):
-            sub = transfer.component_subdigraph(d, census, comp)
-            local = {w: i for i, w in enumerate(sub.vertices)}
-            rows = [[int(x) for x in row] for row in sub.adj]
-            self.blocks.append((rows, list(zip(*rows))))
-            per_block_rot.append([local[rotate(w, 1)] for w in sub.vertices])
-            per_block_rev.append([local[w[::-1]] for w in sub.vertices])
+        cols = np.arange(len(d))
+        rows = [np.repeat(cols, row).tolist() for row in d.adj]
+        orbits = [{rotate(w, k) for k in range(m)} for w in d.vertices]
+        self.reps = [i for i, w in enumerate(d.vertices) if w == min(orbits[i])]
+        self.reads: dict[str, list[list[list[int]]]] = {"tg": [], "kb": []}
         for p in range(m):
-            tg_maps, kb_maps = [], []
-            for rot, rev in zip(per_block_rot, per_block_rev):
-                idx = list(range(len(rot)))
-                for _ in range(p):
-                    idx = [rot[i] for i in idx]
-                tg_maps.append(idx)
-                kb_maps.append([rev[i] for i in idx])
-            self.srcmaps_tg.append(tg_maps)
-            self.srcmaps_kb.append(kb_maps)
-        self.powers = [[row[:] for row in rows] for rows, _ in self.blocks]
-        self.tg: list[list[int]] = [[] for _ in range(m)]
-        self.kb: list[list[int]] = [[] for _ in range(m)]
+            tg, kb = [], []
+            for r in self.reps:
+                w, size = d.vertices[r], len(orbits[r])
+                tg.append([d.index(rotate(w, p))] * size)
+                kb.append([d.index(rotate(w[::-1], -p - 2 * k)) for k in range(size)])
+            self.reads["tg"].append(tg)
+            self.reads["kb"].append(kb)
+        # (members, their rows) of each component, shared by its representatives
+        block_of: dict[int, tuple[list[int], list[list[int]]]] = {}
+        self.blocks: list[tuple[list[int], list[list[int]]]] = []
+        for r in self.reps:
+            if r not in block_of:
+                members = sorted(transfer._reach([r], rows, range(len(d))))
+                block = (members, [rows[x] for x in members])
+                block_of.update(dict.fromkeys(members, block))
+            self.blocks.append(block_of[r])
+        self.vectors = [d.adj[r].tolist() for r in self.reps]  # A is symmetric
+        self.series = {family: [[] for _ in range(m)] for family in self.reads}
         self._record()
 
     def _record(self) -> None:
-        for p in range(self.m):
-            for store, maps in ((self.tg, self.srcmaps_tg), (self.kb, self.srcmaps_kb)):
-                total = 0
-                for power, srcmap in zip(self.powers, maps[p]):
-                    total += sum(power[srcmap[j]][j] for j in range(len(srcmap)))
-                store[p].append(total)
+        for family, reads in self.reads.items():
+            for p, store in enumerate(self.series[family]):
+                store.append(sum(v[x] for v, xs in zip(self.vectors, reads[p]) for x in xs))
 
     def extend(self, terms: int) -> None:
         with self.lock:
-            while len(self.tg[0]) < terms:
-                self.powers = [
-                    _matmul_rows(power, cols)
-                    for power, (_, cols) in zip(self.powers, self.blocks)
-                ]
+            while len(self.series["tg"][0]) < terms:
+                for j, (members, rows) in enumerate(self.blocks):
+                    v = self.vectors[j]
+                    self.vectors[j] = w = [0] * len(v)
+                    for x, row in zip(members, rows):
+                        w[x] = sum(map(v.__getitem__, row))
                 self._record()
 
     def values(self, family: str, p: int, terms: int) -> list[int]:
         self.extend(terms)
-        store = self.tg if family == "tg" else self.kb
-        return store[p][:terms]
+        return self.series[family][p][:terms]
 
 
 class _TncVectorEngine:
@@ -298,7 +294,7 @@ def _engine(kind: str, m: int):
             engine = _ENGINES.get(key)
         if engine is None:
             if kind == "trace":
-                engine = _ReducedTraceEngine(m)
+                engine = _OrbitTraceEngine(m)
             elif kind == "tnc":
                 engine = _TncVectorEngine(m)
             else:

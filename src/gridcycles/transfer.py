@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Container, Iterable
 
 import numpy as np
 
@@ -230,7 +230,7 @@ def build_glued(m: int) -> TransferDigraph:
     return TransferDigraph("glued", m, tuple(reps), adj)
 
 
-def _reach(start: Iterable[int], lists: list[list[int]], allowed: set[int]) -> set[int]:
+def _reach(start: Iterable[int], lists: list[list[int]], allowed: Container[int]) -> set[int]:
     seen = set(start)
     stack = list(seen)
     while stack:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gridcycles import cli, refdata, transfer
+from gridcycles import cli, counting, refdata, transfer
 
 
 def run(capsys, *argv):
@@ -31,7 +31,8 @@ def test_count_rejects_cylinder_twist(capsys):
 
 
 def test_count_resource_limit(capsys):
-    code, _, err = run(capsys, "count", "tg", "11", "--n", "2")
+    m = str(counting.TG_KB_REDUCED_LIMIT + 1)
+    code, _, err = run(capsys, "count", "tg", m, "--n", "2")
     assert code == 1 and "limited" in err
 
 
@@ -92,6 +93,19 @@ def test_digraph_reduced_builds_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "digraph", "6", "--kind", "reduced", "--json")
     assert code == 0 and json.loads(out)["components"] == 4
     assert calls == {"build_reduced": 1, "components": 1}
+
+
+def test_digraph_suite_builds_each_width_once(monkeypatch):
+    widths = []
+    real = transfer.build_reduced
+
+    def build(m):
+        widths.append(m)
+        return real(m)
+
+    monkeypatch.setattr(transfer, "build_reduced", build)
+    assert cli.suite_digraph().n_failed == 0
+    assert sorted(widths) == list(range(2, 13))
 
 
 def test_digraph_dump(capsys):

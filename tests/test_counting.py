@@ -2,7 +2,9 @@ import sys
 import threading
 from collections import defaultdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcycles import alphabet as al
 from gridcycles import counting as ct
@@ -186,6 +188,34 @@ def test_cross_family_identities():
 @pytest.mark.parametrize("m", range(2, 6))
 def test_route_agreement_small(m):
     assert all(ct.verify_route_agreement(m, p, 12) for p in range(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["tg", "kb"]),
+    st.integers(2, 7),
+    st.integers(0, 6),
+    st.integers(1, 12),
+)
+def test_reduced_and_full_routes_agree(family, m, p, n):
+    spec = GridSpec(family, m, p, n)
+    assert ct.count(spec, method="reduced") == ct.count(spec, method="full")
+
+
+@pytest.mark.parametrize("family", ["tg", "kb"])
+def test_trace_route_at_its_limit(family):
+    # n = 1, 2 against the dense matrix, by elementwise sums alone:
+    # sum_i A[s(i), i] and sum_ij A[s(i), j] A[j, i]
+    m = ct.TG_KB_REDUCED_LIMIT
+    d = tr.build_reduced(m)
+    a = d.adj.astype(np.int64)
+    for p in range(m):
+        if family == "tg":
+            sigma = [d.index(al.rotate(w, p)) for w in d.vertices]
+        else:
+            sigma = [d.index(al.rotate(w, p)[::-1]) for w in d.vertices]
+        expected = [int(a[sigma, range(len(d))].sum()), int((a[sigma] * a.T).sum())]
+        assert ct.series(GridSpec(family, m, p), 2).values == expected
 
 
 def _walk_counts(m, source, steps):

@@ -3,43 +3,56 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridcycles import counting, refdata, transfer
-from gridcycles.counting import _matmul_rows
+from gridcycles.alphabet import rotate
 from gridcycles.exactmat import amplitude_estimate, dominant_eigenvalue
 
 N2 = [[1, 2], [2, 1]]  # zero component of width 2
 B2 = [[0, 2], [2, 0]]
 
 
-small_matrices = st.integers(1, 4).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(0, 9), min_size=n, max_size=n), min_size=n, max_size=n
-    )
-)
+def _power(m, n):
+    # exact n-th power of the reduced matrix, numpy object arithmetic
+    a = transfer.build_reduced(m).adj.astype(object)
+    return np.linalg.matrix_power(a, n)
 
 
-def _matmul(a, b):
-    return _matmul_rows(a, list(zip(*b)))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 6))
+def test_pow_addition_law(m, i, j):
+    # the engine's vectors are columns of A^n: stepping A^i e_r by j more
+    # terms gives A^j (A^i e_r), with A^j from numpy
+    engine = counting._OrbitTraceEngine(m)
+    assert engine.vectors == [_power(m, 1)[:, r].tolist() for r in engine.reps]
+    engine.extend(i)
+    columns = np.array(engine.vectors, dtype=object).T
+    engine.extend(i + j)
+    assert engine.vectors == (_power(m, j) @ columns).T.tolist()
 
 
-def _matpow(a, n):
-    result = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
-    for _ in range(n):
-        result = _matmul(result, a)
-    return result
-
-
-def test_matmul_rows_examples():
-    # the exact product the torus/Klein engine steps with
-    eye = [[1, 0], [0, 1]]
-    assert _matmul(eye, N2) == N2
-    assert _matmul(N2, N2) == [[5, 4], [4, 5]]
-    assert _matmul(N2, B2) == [[4, 2], [2, 4]]
-
-
-@settings(max_examples=60)
-@given(small_matrices, st.integers(0, 6), st.integers(0, 6))
-def test_pow_addition_law(a, i, j):
-    assert _matpow(a, i + j) == _matmul(_matpow(a, i), _matpow(a, j))
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_short_orbit_reads(m):
+    # orbits shorter than m: each orbit's reads sum its members' selected
+    # entries (A^n)[sigma(i), i], sigma the torus or Klein source map
+    engine = counting._OrbitTraceEngine(m)
+    words = transfer.build_reduced(m).vertices
+    short = ["0" * m, "1" * m] + (["01" * (m // 2)] if m % 2 == 0 else [])
+    sources = {
+        "tg": lambda w, p: rotate(w, p),
+        "kb": lambda w, p: rotate(w, p)[::-1],
+    }
+    for n in range(1, 7):
+        engine.extend(n)
+        power = _power(m, n)
+        for word in short:
+            j = engine.reps.index(words.index(word))
+            orbit = {rotate(word, k) for k in range(m)}
+            for family, source in sources.items():
+                for p in range(m):
+                    expected = sum(
+                        power[words.index(source(w, p)), words.index(w)] for w in orbit
+                    )
+                    reads = engine.reads[family][p][j]
+                    assert sum(engine.vectors[j][x] for x in reads) == expected
 
 
 def test_power_entry_reproduces_cylinder_counts():
@@ -55,11 +68,13 @@ def test_power_entry_reproduces_cylinder_counts():
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_symmetric_powers_stay_symmetric(m):
-    engine = counting._ReducedTraceEngine(m)
+    # A^n is symmetric: v_r[r'] == v_r'[r] across representatives
+    engine = counting._OrbitTraceEngine(m)
     for terms in range(2, 51):
         engine.extend(terms)
-        for power in engine.powers:
-            assert power == [list(col) for col in zip(*power)]
+        for v, r in zip(engine.vectors, engine.reps):
+            for w, s in zip(engine.vectors, engine.reps):
+                assert v[s] == w[r]
 
 
 def test_torus_count_is_sum_of_component_traces():
