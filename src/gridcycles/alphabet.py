@@ -89,11 +89,6 @@ def vertical_convert(word: str) -> str:
     return word.translate(_V_MAP)
 
 
-def reverse_binary(word: str) -> str:
-    """Reversal of a binary word (the horizontal conversion of outlet words)."""
-    return word[::-1]
-
-
 def outlet(word: str) -> str:
     """Binary word marking the rows whose letter has a right edge."""
     return "".join("1" if _RIGHT[ch] else "0" for ch in word)

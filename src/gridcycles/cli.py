@@ -144,9 +144,11 @@ def suite_digraph() -> RunReport:
             "parity of the width",
         )
     reduced = {}  # kept for the symmetry checks below
+    zero_words = {}  # and the 0^m components for the closure checks
     for m in range(2, 11):
         d = reduced[m] = transfer.build_reduced(m)
         census = transfer.components(d)
+        zero_words[m] = {d.vertices[i] for i in census.members(census.zero_id)}
         report.add(
             f"reduced digraph vertices m={m}", 2**m, len(d), "power of two"
         )
@@ -207,8 +209,7 @@ def suite_digraph() -> RunReport:
             bool(np.array_equal(d.adj, d.adj.T)),
             "transfer-matrix symmetry",
         )
-    for m in range(2, 11):
-        words = transfer.zero_component_words(m)
+    for m, words in zero_words.items():
         closed = all(
             w[::-1] in words and w[1:] + w[0] in words for w in words
         )

@@ -48,12 +48,11 @@ from .transfer import ResourceLimitError
 
 FAMILIES = ("tnc", "tg", "kb")
 
-# Documented route limits (see README; the full route is capped by
-# transfer.FULL_MATRIX_LIMIT).  Torus/Klein traces step one big-int vector
-# per rotation orbit, about 0.5 s a term at m = 11; beyond m = 14 the glued
-# quotient's ~3^m word enumeration dominates.
+# Documented route limit (see README; the full and thin-cylinder routes are
+# capped by transfer.FULL_MATRIX_LIMIT and transfer.GLUED_LIMIT).  Torus/Klein
+# traces step one big-int vector per rotation orbit, about 0.5 s a term at
+# m = 11.
 TG_KB_REDUCED_LIMIT = 11
-GLUED_ROUTE_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -271,7 +270,7 @@ class _FullWalkEngine:
 # engine kind -> (width limit, route name for the limit error)
 _LIMITS = {
     "trace": (TG_KB_REDUCED_LIMIT, "torus/Klein reduced route"),
-    "tnc": (GLUED_ROUTE_LIMIT, "glued route"),
+    "tnc": (transfer.GLUED_LIMIT, "glued route"),
     "full": (transfer.FULL_MATRIX_LIMIT, "full route"),
 }
 _ENGINES: dict[tuple[str, int], object] = {}
@@ -364,11 +363,9 @@ def verify_route_agreement(m: int, p: int, n: int) -> bool:
 
 def zero_component_spectrum(m: int, tol: float = 1e-12) -> Spectrum:
     """Dominant eigenvalue of the reduced-digraph component containing 0^m
-    (the growth rate of the thin-cylinder counts)."""
-    d = transfer.build_reduced(m)
-    census = transfer.components(d)
-    sub = transfer.component_subdigraph(d, census, census.zero_id)
-    return dominant_eigenvalue(sub.adj.astype(float), tol=tol)
+    (the growth rate of the thin-cylinder counts), computed on its glued
+    quotient, which keeps the Perron root."""
+    return dominant_eigenvalue(transfer.build_glued(m).adj.astype(float), tol=tol)
 
 
 def component_spectra(

@@ -8,8 +8,9 @@ Three digraph granularities drive the counting routes:
   the number of column words with inlet u and outlet w (0, 1 or 2).  The
   matrix is symmetric and its entries sum to 3^m + (-1)^m.
 * ``glued``   — vertices are the orbits of the all-zero component of the
-  reduced digraph under rotation and reversal; sufficient for the
-  thin-cylinder count alone.
+  reduced digraph under rotation and reversal, reached by one walk over
+  orbit representatives without the dense matrix; sufficient for the
+  thin-cylinder count and its growth rate.
 
 Digraphs are immutable once built and may be shared across threads.
 Construction is single-threaded; the reduced matrix is built by
@@ -31,14 +32,14 @@ from .alphabet import (
     inlet,
     last_column_words,
     outlet,
-    reverse_binary,
-    rotate,
     words_with_inlet,
 )
 
 # Documented practical limits (see README): the dense reduced matrix is
-# 2^m square, the dense full matrix (3^m + (-1)^m) square.  Counting on
-# single components (glued route) stretches further than either.
+# 2^m square, the dense full matrix (3^m + (-1)^m) square.  The glued
+# quotient (construction, thin-cylinder counts and their spectrum)
+# enumerates the column words out of each orbit representative once; at
+# m = 18 that takes about 25 s.
 FULL_MATRIX_LIMIT = 8
 REDUCED_DENSE_LIMIT = 14
 GLUED_LIMIT = 18
@@ -161,72 +162,49 @@ def build_reduced(m: int) -> TransferDigraph:
     return TransferDigraph("reduced", m, vertices, adj)
 
 
-def zero_component_words(m: int) -> set[str]:
-    """Vertex set of the reduced-digraph component containing 0^m, computed
-    by BFS with arcs enumerated on the fly (no dense matrix; works past the
-    dense limit).  The matrix symmetry makes forward reach sufficient."""
-    if m > GLUED_LIMIT:
-        raise ResourceLimitError(f"component walk limited to m <= {GLUED_LIMIT}, got {m}")
-    start = "0" * m
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for word in words_with_inlet(v):
-                w = outlet(word)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
-
-
-def _dihedral_orbit(word: str) -> set[str]:
-    orbit = set()
-    w = word
-    for _ in range(len(word)):
-        orbit.add(w)
-        orbit.add(reverse_binary(w))
-        w = rotate(w, 1)
-    return orbit
+def _dihedral_rep(word: str) -> str:
+    """Least word among the rotations of ``word`` and of its reversal."""
+    return min(w[k:] + w[:k] for w in (word, word[::-1]) for k in range(len(word)))
 
 
 def build_glued(m: int) -> TransferDigraph:
-    """Glue the 0^m component of the reduced digraph along rotation and
-    reversal orbits; arcs from a representative are summed over each orbit.
+    """The 0^m component of the reduced digraph folded along rotation and
+    reversal orbits, each orbit named by its least word.
+
+    One walk from 0^m over orbit representatives: the arcs out of a
+    representative are enumerated once and summed per target orbit.  A
+    commutes with rotation and reversal, so the walk reaches exactly the
+    orbits of the component, and the orbit partition is equitable: the
+    quotient keeps the component's Perron root.
 
     Vertex order: orbit of 0^m, then orbit of 1^m when present, then the
-    remaining orbits by their lexicographically least member.
+    remaining orbits by their least member.
     """
-    words = zero_component_words(m)
-    reps: list[str] = []
-    orbit_of: dict[str, list[str]] = {}
-    assigned: set[str] = set()
-    for w in sorted(words):
-        if w in assigned:
-            continue
-        orbit = _dihedral_orbit(w)
-        if not orbit <= words:
-            raise AssertionError(f"component of 0^{m} not closed under rotation/reversal")
-        rep = min(orbit)
-        reps.append(rep)
-        orbit_of[rep] = sorted(orbit)
-        assigned |= orbit
-
-    def rank(rep: str) -> tuple:
-        return (rep != "0" * m, rep != "1" * m, rep)
-
-    reps.sort(key=rank)
-    k = len(reps)
-    adj = np.zeros((k, k), dtype=np.int64)
-    for i, rep in enumerate(reps):
-        # multiplicities out of the representative, summed per target orbit
-        row: dict[str, int] = defaultdict(int)
+    if m < 1:
+        raise ValueError(f"width must be >= 1, got {m}")
+    if m > GLUED_LIMIT:
+        raise ResourceLimitError(f"glued quotient limited to m <= {GLUED_LIMIT}, got {m}")
+    start = "0" * m
+    rows: dict[str, dict[str, int]] = {start: defaultdict(int)}
+    queue = [start]
+    rep_of: dict[str, str] = {}  # outlet word -> its orbit's representative
+    for rep in queue:  # grows while it is walked
+        row = rows[rep]
         for word in words_with_inlet(rep):
-            row[outlet(word)] += 1
-        for j, target in enumerate(reps):
-            adj[i, j] = sum(row.get(y, 0) for y in orbit_of[target])
+            out = outlet(word)
+            target = rep_of.get(out)
+            if target is None:
+                target = rep_of[out] = _dihedral_rep(out)
+            row[target] += 1
+            if target not in rows:
+                rows[target] = defaultdict(int)
+                queue.append(target)
+    reps = sorted(rows, key=lambda rep: (rep != start, rep != "1" * m, rep))
+    index = {rep: i for i, rep in enumerate(reps)}
+    adj = np.zeros((len(reps), len(reps)), dtype=np.int64)
+    for rep, row in rows.items():
+        for target, mult in row.items():
+            adj[index[rep], index[target]] = mult
     return TransferDigraph("glued", m, tuple(reps), adj)
 
 

@@ -81,9 +81,10 @@ def test_criterion_3_structural_invariants():
         for m in range(2, 11):
             # components() hard-fails unless every component is strongly
             # connected, for both digraph granularities
-            tr.components(tr.build_reduced(m))
+            d = tr.build_reduced(m)
+            census = tr.components(d)
             tr.components(tr.build_full(m, with_matrix=False))
-            words = tr.zero_component_words(m)
+            words = {d.vertices[i] for i in census.members(census.zero_id)}
             for w in words:
                 assert w[::-1] in words and al.rotate(w, 1) in words
         for m in range(2, 13):

@@ -108,6 +108,13 @@ def test_digraph_suite_builds_each_width_once(monkeypatch):
     assert sorted(widths) == list(range(2, 13))
 
 
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_digraph_glued_rejects_invalid_width(capsys, m):
+    assert run(capsys, "digraph", m, "--kind", "glued") == (
+        1, "", f"error: width must be >= 1, got {m}\n"
+    )
+
+
 def test_digraph_dump(capsys):
     code, out, _ = run(capsys, "digraph", "3", "--kind", "reduced", "--dump")
     doc = json.loads(out)

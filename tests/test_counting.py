@@ -84,7 +84,7 @@ def test_route_limits():
         ct.count_tg(ct.TG_KB_REDUCED_LIMIT + 1, 0, 2)
     for method in ("reduced", "glued"):
         with pytest.raises(tr.ResourceLimitError):
-            ct.count_tnc(ct.GLUED_ROUTE_LIMIT + 1, 2, method=method)
+            ct.count_tnc(tr.GLUED_LIMIT + 1, 2, method=method)
 
 
 def test_engine_builds_do_not_serialise_across_widths(monkeypatch):
@@ -274,3 +274,22 @@ def test_zero_component_spectrum():
     spectra = ct.component_spectra(d, tr.components(d))
     assert len(spectra) == 3
     assert max(s.theta for s in spectra) == pytest.approx(6.372281323269014, abs=1e-9)
+
+
+@pytest.mark.parametrize("m", range(2, 15))
+def test_glued_sizes_and_theta_match_tables(m, monkeypatch):
+    # the spectrum builds one glued quotient and no dense reduced digraph;
+    # its size and Perron root are checked against the shipped tables
+    built = []
+    real = tr.build_glued
+
+    def build_glued(width):
+        built.append(real(width))
+        return built[-1]
+
+    monkeypatch.setattr(tr, "build_glued", build_glued)
+    monkeypatch.setattr(tr, "build_reduced", None)
+    theta = ct.zero_component_spectrum(m).theta
+    tab = refdata.tables()
+    assert [len(g) for g in built] == [tab["glued_vertices"][str(m)]]
+    assert abs(theta - float(tab["theta"][str(m)])) <= 1e-9

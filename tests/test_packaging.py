@@ -32,8 +32,7 @@ def test_readme_limits_match_constants():
     assert rows == {
         "full digraph walks": transfer.FULL_MATRIX_LIMIT,
         "reduced dense matrix": transfer.REDUCED_DENSE_LIMIT,
-        "thin-cylinder counts (glued quotient)": counting.GLUED_ROUTE_LIMIT,
+        "glued quotient and thin-cylinder counts": transfer.GLUED_LIMIT,
         "torus/Klein counts (trace route)": counting.TG_KB_REDUCED_LIMIT,
-        "glued quotient construction": transfer.GLUED_LIMIT,
         "brute-force oracle": oracle.MAX_EDGES,
     }

@@ -111,7 +111,7 @@ def rotation(d):
 
 
 def reversal(d):
-    return relation(d, al.reverse_binary)
+    return relation(d, lambda w: w[::-1])
 
 
 def test_rotation_cycle_m4():
@@ -231,12 +231,38 @@ def test_glued_sizes(m, expected):
     assert len(tr.build_glued(m)) == expected
 
 
+def zero_component(d):
+    census = tr.components(d)
+    return {d.vertices[i] for i in census.members(census.zero_id)}
+
+
 @pytest.mark.parametrize("m", range(2, 11))
 def test_zero_component_closure(m):
-    words = tr.zero_component_words(m)
+    words = zero_component(tr.build_reduced(m))
     for w in words:
         assert w[::-1] in words
         assert al.rotate(w, 1) in words
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_glued_is_the_orbit_quotient_of_the_zero_component(m):
+    # reference: the dense census's zero component, split into dihedral
+    # orbits, with arcs out of each representative summed per target orbit
+    d = tr.build_reduced(m)
+    orbits = {}
+    for w in zero_component(d):
+        orbit = {al.rotate(x, k) for x in (w, w[::-1]) for k in range(m)}
+        orbits[min(orbit)] = [d.index(y) for y in orbit]
+    g = tr.build_glued(m)
+    assert sorted(g.vertices) == sorted(orbits)
+    rows = d.adj[[d.index(rep) for rep in g.vertices]].astype(np.int64)
+    expected = np.stack([rows[:, orbits[rep]].sum(axis=1) for rep in g.vertices], axis=1)
+    assert np.array_equal(g.adj, expected)
+
+
+def test_glued_limit():
+    with pytest.raises(tr.ResourceLimitError):
+        tr.build_glued(tr.GLUED_LIMIT + 1)
 
 
 # ---------------------------------------------------------------------------
