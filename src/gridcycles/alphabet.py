@@ -23,7 +23,7 @@ All functions here are pure; words are plain ``str`` values (letters over
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class AlphaLetter(NamedTuple):
@@ -161,7 +161,9 @@ _POS_MATRIX = {
 
 
 def count_io_words(u: str, w: str) -> int:
-    """Number of column words with inlet ``u`` and outlet ``w``; always 0, 1 or 2."""
+    """Number of column words with inlet ``u`` and outlet ``w``; always 0, 1 or 2.
+
+    The independent per-pair reference for :func:`transfer.reduced_arcs`."""
     if len(u) != len(w):
         raise ValueError("inlet and outlet words must have equal length")
     p00, p01, p10, p11 = 1, 0, 0, 1
@@ -174,43 +176,3 @@ def count_io_words(u: str, w: str) -> int:
             p10 * m01 + p11 * m11,
         )
     return p00 + p11
-
-# Letter choices per (inlet bit, up bit, down bit); outlet bit is implied.
-_LETTER_BY_BITS = {
-    (0, 1, 1): "b",
-    (0, 1, 0): "a",
-    (0, 0, 1): "c",
-    (1, 0, 0): "e",
-    (1, 1, 0): "d",
-    (1, 0, 1): "f",
-}
-
-
-def words_with_inlet(u: str) -> Iterator[str]:
-    """Yield every column word whose inlet word is ``u``.
-
-    Used to walk reduced-digraph arcs without materialising the whole
-    adjacency matrix: each yielded word ``x`` contributes one arc
-    ``u -> outlet(x)``.
-    """
-    m = len(u)
-    bits = [int(ch) for ch in u]
-    word: list[str] = [""] * m
-
-    # chain variable: the "up" bit of each row; row j fixes (up_j, down_j)
-    # with down_j = up_{j+1}, and (inlet, up+down) determines the letter.
-    def extend(j: int, up: int, first_up: int) -> Iterator[str]:
-        if j == m:
-            if up == first_up:
-                yield "".join(word)
-            return
-        ub = bits[j]
-        for down in (0, 1):
-            letter = _LETTER_BY_BITS.get((ub, up, down))
-            if letter is None:
-                continue
-            word[j] = letter
-            yield from extend(j + 1, down, first_up)
-
-    for first in (0, 1):
-        yield from extend(0, first, first)

@@ -114,23 +114,27 @@ class _OrbitTraceEngine:
     kb(n, p) = sum_r sum_k v_r[R^(-p-2k) rev(r)]; ``reads[family][p][j]``
     lists those positions for representative j.  A step computes only the
     rows of r's component, outside which v_r is zero; each row lists its
-    successors repeated by multiplicity.
+    successors repeated by multiplicity, straight from
+    :func:`transfer.reduced_arcs`, so the dense matrix is never built.
     """
 
     def __init__(self, m: int):
         self.lock = threading.RLock()
-        d = transfer.build_reduced(m)
-        cols = np.arange(len(d))
-        rows = [np.repeat(cols, row).tolist() for row in d.adj]
-        orbits = [{rotate(w, k) for k in range(m)} for w in d.vertices]
-        self.reps = [i for i, w in enumerate(d.vertices) if w == min(orbits[i])]
+        n_words = 1 << m
+        src, outlets = transfer.reduced_arcs(np.arange(n_words), m)
+        # the arcs come grouped by inlet, so they split into successor rows
+        bounds = np.cumsum(np.bincount(src, minlength=n_words))[:-1]
+        rows = [row.tolist() for row in np.split(outlets, bounds)]
+        words = [format(x, f"0{m}b") for x in range(n_words)]
+        orbits = [{rotate(w, k) for k in range(m)} for w in words]
+        self.reps = [i for i, w in enumerate(words) if w == min(orbits[i])]
         self.reads: dict[str, list[list[list[int]]]] = {"tg": [], "kb": []}
         for p in range(m):
             tg, kb = [], []
             for r in self.reps:
-                w, size = d.vertices[r], len(orbits[r])
-                tg.append([d.index(rotate(w, p))] * size)
-                kb.append([d.index(rotate(w[::-1], -p - 2 * k)) for k in range(size)])
+                w, size = words[r], len(orbits[r])
+                tg.append([int(rotate(w, p), 2)] * size)
+                kb.append([int(rotate(w[::-1], -p - 2 * k), 2) for k in range(size)])
             self.reads["tg"].append(tg)
             self.reads["kb"].append(kb)
         # (members, their rows) of each component, shared by its representatives
@@ -138,11 +142,12 @@ class _OrbitTraceEngine:
         self.blocks: list[tuple[list[int], list[list[int]]]] = []
         for r in self.reps:
             if r not in block_of:
-                members = sorted(transfer._reach([r], rows, range(len(d))))
+                members = sorted(transfer._reach([r], rows, range(n_words)))
                 block = (members, [rows[x] for x in members])
                 block_of.update(dict.fromkeys(members, block))
             self.blocks.append(block_of[r])
-        self.vectors = [d.adj[r].tolist() for r in self.reps]  # A is symmetric
+        # A is symmetric, so v_r starts as row r of A
+        self.vectors = [np.bincount(rows[r], minlength=n_words).tolist() for r in self.reps]
         self.series = {family: [[] for _ in range(m)] for family in self.reads}
         self._record()
 
@@ -364,8 +369,11 @@ def verify_route_agreement(m: int, p: int, n: int) -> bool:
 def zero_component_spectrum(m: int, tol: float = 1e-12) -> Spectrum:
     """Dominant eigenvalue of the reduced-digraph component containing 0^m
     (the growth rate of the thin-cylinder counts), computed on its glued
-    quotient, which keeps the Perron root."""
-    return dominant_eigenvalue(transfer.build_glued(m).adj.astype(float), tol=tol)
+    quotient G, which keeps the Perron root.  D·G = Gᵀ·D for D the orbit
+    sizes, so the power iteration runs on the symmetric D^½·G·D^-½, whose
+    entries are sqrt(G_ij·G_ji)."""
+    g = transfer.build_glued(m).adj.astype(float)
+    return dominant_eigenvalue(np.sqrt(g * g.T), tol=tol)
 
 
 def component_spectra(

@@ -12,9 +12,11 @@ Three digraph granularities drive the counting routes:
   orbit representatives without the dense matrix; sufficient for the
   thin-cylinder count and its growth rate.
 
+Every reduced arc comes from :func:`reduced_arcs`; the full digraph and
+:func:`gridcycles.alphabet.count_io_words` are the independent references.
+
 Digraphs are immutable once built and may be shared across threads.
-Construction is single-threaded; the reduced matrix is built by
-:mod:`gridcycles._kernels`.
+Construction is single-threaded.
 """
 
 from __future__ import annotations
@@ -25,21 +27,19 @@ from typing import Container, Iterable
 
 import numpy as np
 
-from . import _kernels
 from .alphabet import (
     enumerate_column_words,
     first_column_words,
     inlet,
     last_column_words,
     outlet,
-    words_with_inlet,
 )
 
 # Documented practical limits (see README): the dense reduced matrix is
 # 2^m square, the dense full matrix (3^m + (-1)^m) square.  The glued
 # quotient (construction, thin-cylinder counts and their spectrum)
-# enumerates the column words out of each orbit representative once; at
-# m = 18 that takes about 25 s.
+# generates the arcs out of each orbit representative once; at m = 17 and
+# 18 that takes under a second.
 FULL_MATRIX_LIMIT = 8
 REDUCED_DENSE_LIMIT = 14
 GLUED_LIMIT = 18
@@ -126,6 +126,11 @@ class ComponentCensus:
         return [i for i, c in enumerate(self.labels) if c == comp_id]
 
 
+def _check_width(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"width must be >= 1, got {m}")
+
+
 def build_full(m: int, with_matrix: bool | None = None) -> TransferDigraph:
     """Full transfer digraph on the 3^m + (-1)^m valid column words.
 
@@ -133,6 +138,7 @@ def build_full(m: int, with_matrix: bool | None = None) -> TransferDigraph:
     The dense arc matrix is built only up to m = FULL_MATRIX_LIMIT (43 MB at
     m = 8); censuses and walk counts never need it.
     """
+    _check_width(m)
     words = enumerate_column_words(m)
     bword = "b" * m
     vertices = tuple([bword] + [w for w in words if w != bword])
@@ -150,29 +156,56 @@ def build_full(m: int, with_matrix: bool | None = None) -> TransferDigraph:
     return TransferDigraph("full", m, vertices, adj)
 
 
+def reduced_arcs(inlets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every reduced-digraph arc out of the given inlet words, one per
+    column word.
+
+    Row j of a column word has inlet bit u_j and up bit s_j; its down bit is
+    the next row's up bit s_{j+1}, circularly.  The word is valid iff no row
+    has u_j = s_j = s_{j+1}, and its outlet bit is w_j = u_j ^ s_j ^ s_{j+1}.
+    The chain starts from s_0 in {0, 1}; s_{j+1} is forced to 1 - u_j where
+    s_j = u_j and free otherwise, and s_m = s_0 closes the circle.
+
+    Returns int64 arrays ``(src, outlets)``, one entry per arc, grouped by
+    inlet in the order given.  Words carry row j in bit m-1-j.
+    """
+    u = np.repeat(np.asarray(inlets, dtype=np.int64), 2)
+    s = s0 = np.tile(np.array([0, 1], dtype=np.int8), len(u) // 2)
+    w = np.zeros_like(u)
+    for j in range(m - 1):
+        free = s != ((u >> (m - 1 - j)) & 1)
+        reps = 1 + free
+        nxt = np.repeat(1 - s, reps)  # forced: s_j = u_j, so s_{j+1} = 1 - s_j
+        nxt[np.cumsum(reps)[free] - 1] ^= 1  # a free state's copies take both bits
+        w = np.repeat((w << 1) | free, reps) ^ nxt
+        u, s0, s = np.repeat(u, reps), np.repeat(s0, reps), nxt
+    last = u & 1
+    ok = (last != s) | (s != s0)
+    return u[ok], ((w << 1) | (last ^ s ^ s0))[ok]
+
+
 def build_reduced(m: int) -> TransferDigraph:
     """Reduced transfer digraph on all 2^m binary words, dense multiplicity
     matrix.  Vertex order: 0^m first, then lexicographic (= numeric)."""
+    _check_width(m)
     if m > REDUCED_DENSE_LIMIT:
         raise ResourceLimitError(
             f"dense reduced matrix limited to m <= {REDUCED_DENSE_LIMIT}, got {m}"
         )
-    adj = _kernels.reduced_adjacency(m)
-    vertices = tuple(format(i, f"0{m}b") for i in range(1 << m))
+    size = 1 << m
+    adj = np.zeros((size, size), dtype=np.uint8)
+    np.add.at(adj, reduced_arcs(np.arange(size), m), 1)
+    vertices = tuple(format(i, f"0{m}b") for i in range(size))
     return TransferDigraph("reduced", m, vertices, adj)
-
-
-def _dihedral_rep(word: str) -> str:
-    """Least word among the rotations of ``word`` and of its reversal."""
-    return min(w[k:] + w[:k] for w in (word, word[::-1]) for k in range(len(word)))
 
 
 def build_glued(m: int) -> TransferDigraph:
     """The 0^m component of the reduced digraph folded along rotation and
     reversal orbits, each orbit named by its least word.
 
-    One walk from 0^m over orbit representatives: the arcs out of a
-    representative are enumerated once and summed per target orbit.  A
+    A breadth-first walk from 0^m over orbit representatives: the arcs out
+    of each frontier are generated once, their outlets mapped to the least
+    word of their orbit, and the (source, target) pairs counted.  A
     commutes with rotation and reversal, so the walk reaches exactly the
     orbits of the component, and the orbit partition is equitable: the
     quotient keeps the component's Perron root.
@@ -180,32 +213,37 @@ def build_glued(m: int) -> TransferDigraph:
     Vertex order: orbit of 0^m, then orbit of 1^m when present, then the
     remaining orbits by their least member.
     """
-    if m < 1:
-        raise ValueError(f"width must be >= 1, got {m}")
+    _check_width(m)
     if m > GLUED_LIMIT:
         raise ResourceLimitError(f"glued quotient limited to m <= {GLUED_LIMIT}, got {m}")
-    start = "0" * m
-    rows: dict[str, dict[str, int]] = {start: defaultdict(int)}
-    queue = [start]
-    rep_of: dict[str, str] = {}  # outlet word -> its orbit's representative
-    for rep in queue:  # grows while it is walked
-        row = rows[rep]
-        for word in words_with_inlet(rep):
-            out = outlet(word)
-            target = rep_of.get(out)
-            if target is None:
-                target = rep_of[out] = _dihedral_rep(out)
-            row[target] += 1
-            if target not in rows:
-                rows[target] = defaultdict(int)
-                queue.append(target)
-    reps = sorted(rows, key=lambda rep: (rep != start, rep != "1" * m, rep))
-    index = {rep: i for i, rep in enumerate(reps)}
+    size, mask = 1 << m, (1 << m) - 1
+    words = np.arange(size, dtype=np.int64)
+    reversal = np.zeros_like(words)
+    for j in range(m):
+        reversal |= ((words >> j) & 1) << (m - 1 - j)
+    least = words.copy()  # least word of each word's dihedral orbit
+    for x in (words, reversal):
+        for k in range(m):
+            np.minimum(least, ((x << k) | (x >> (m - k))) & mask, out=least)
+    seen = np.zeros(size, dtype=bool)
+    seen[0] = True
+    frontier = words[:1]
+    pairs, mults = [], []
+    while len(frontier):
+        src, outlets = reduced_arcs(frontier, m)
+        target = least[outlets]
+        pair, mult = np.unique((src << m) | target, return_counts=True)
+        pairs.append(pair)
+        mults.append(mult)
+        frontier = np.unique(target[~seen[target]])
+        seen[frontier] = True
+    reps = sorted(np.flatnonzero(seen).tolist(), key=lambda r: (r != 0, r != mask, r))
+    index = np.zeros(size, dtype=np.int64)
+    index[reps] = np.arange(len(reps))
+    pair = np.concatenate(pairs)
     adj = np.zeros((len(reps), len(reps)), dtype=np.int64)
-    for rep, row in rows.items():
-        for target, mult in row.items():
-            adj[index[rep], index[target]] = mult
-    return TransferDigraph("glued", m, tuple(reps), adj)
+    adj[index[pair >> m], index[pair & mask]] = np.concatenate(mults)
+    return TransferDigraph("glued", m, tuple(format(r, f"0{m}b") for r in reps), adj)
 
 
 def _reach(start: Iterable[int], lists: list[list[int]], allowed: Container[int]) -> set[int]:

@@ -143,16 +143,3 @@ def test_count_io_words_alternating_chain(m):
         uw = format(u, f"0{m}b")
         ww = "".join("01"[ch == "0"] for ch in uw)
         assert al.count_io_words(uw, ww) == (2 if m % 2 == 0 else 0)
-
-
-@pytest.mark.parametrize("m", range(1, 7))
-def test_words_with_inlet_matches_enumeration(m):
-    by_inlet = {}
-    for w in al.enumerate_column_words(m):
-        by_inlet.setdefault(al.inlet(w), []).append(w)
-    for u in range(1 << m):
-        uw = format(u, f"0{m}b")
-        got = sorted(al.words_with_inlet(uw))
-        assert got == by_inlet.get(uw, [])
-        for word in got:
-            assert al.inlet(word) == uw

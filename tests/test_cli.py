@@ -108,9 +108,11 @@ def test_digraph_suite_builds_each_width_once(monkeypatch):
     assert sorted(widths) == list(range(2, 13))
 
 
-@pytest.mark.parametrize("m", ["0", "-3"])
-def test_digraph_glued_rejects_invalid_width(capsys, m):
-    assert run(capsys, "digraph", m, "--kind", "glued") == (
+@pytest.mark.parametrize(
+    "kind,m", [(kind, m) for kind in ("full", "reduced", "glued") for m in ("0", "-3")]
+)
+def test_digraph_rejects_invalid_width(capsys, kind, m):
+    assert run(capsys, "digraph", m, "--kind", kind) == (
         1, "", f"error: width must be >= 1, got {m}\n"
     )
 

@@ -218,6 +218,17 @@ def test_trace_route_at_its_limit(family):
         assert ct.series(GridSpec(family, m, p), 2).values == expected
 
 
+def test_trace_engine_never_builds_the_dense_matrix(monkeypatch):
+    # the trace engine takes its rows from the arcs alone
+    monkeypatch.setattr(ct, "_ENGINES", {})
+    monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
+    monkeypatch.setattr(tr, "build_reduced", None)
+    for family in ("tg", "kb"):
+        for p in range(5):
+            spec = GridSpec(family, 5, p)
+            assert ct.series(spec, 6) == ct.series(spec, 6, method="full")
+
+
 def _walk_counts(m, source, steps):
     """Test-local walk counter on the full word digraph (independent of the
     engines): vector of walk counts from `source` after `steps` arcs."""
@@ -292,4 +303,4 @@ def test_glued_sizes_and_theta_match_tables(m, monkeypatch):
     theta = ct.zero_component_spectrum(m).theta
     tab = refdata.tables()
     assert [len(g) for g in built] == [tab["glued_vertices"][str(m)]]
-    assert abs(theta - float(tab["theta"][str(m)])) <= 1e-9
+    assert abs(theta - float(tab["theta"][str(m)])) <= 1e-12

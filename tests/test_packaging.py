@@ -36,3 +36,13 @@ def test_readme_limits_match_constants():
         "torus/Klein counts (trace route)": counting.TG_KB_REDUCED_LIMIT,
         "brute-force oracle": oracle.MAX_EDGES,
     }
+
+
+def test_readme_layout_lists_every_module():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Layout", 1)[1].split("```")[1]
+    listed = set(re.findall(r"^  (\w+\.py) ", block, flags=re.MULTILINE))
+    modules = {
+        p.name for p in (ROOT / "src" / "gridcycles").glob("*.py") if not p.name.startswith("__")
+    }
+    assert listed == modules

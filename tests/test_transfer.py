@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gridcycles import alphabet as al
+from gridcycles import refdata
 from gridcycles import transfer as tr
 
 
@@ -258,6 +259,26 @@ def test_glued_is_the_orbit_quotient_of_the_zero_component(m):
     rows = d.adj[[d.index(rep) for rep in g.vertices]].astype(np.int64)
     expected = np.stack([rows[:, orbits[rep]].sum(axis=1) for rep in g.vertices], axis=1)
     assert np.array_equal(g.adj, expected)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_glued_is_balanced_by_orbit_sizes(m):
+    # D·G = Gᵀ·D for D the dihedral orbit sizes, so the elementwise
+    # sqrt(G∘Gᵀ) that the spectrum iterates on is D^½·G·D^-½
+    g = tr.build_glued(m)
+    d = np.array(
+        [len({al.rotate(x, k) for x in (w, w[::-1]) for k in range(m)}) for w in g.vertices]
+    )
+    assert np.array_equal(d[:, None] * g.adj, (d[:, None] * g.adj).T)
+    a = g.adj.astype(float)
+    r = np.sqrt(d)
+    assert np.allclose(np.sqrt(a * a.T), r[:, None] * a / r[None, :], rtol=1e-15, atol=0)
+
+
+def test_glued_sizes_up_to_the_limit():
+    tab = refdata.tables()
+    for m in range(15, tr.GLUED_LIMIT + 1):
+        assert len(tr.build_glued(m)) == tab["glued_vertices"][str(m)]
 
 
 def test_glued_limit():
