@@ -9,29 +9,28 @@ Families (CLI vocabulary in parentheses):
 
 Each count has two routes that must agree:
 
-* production — the thin-cylinder count is the (0^m, 0^m) walk count on the
-  glued quotient (the all-zero component of the reduced digraph folded by
-  rotation and reversal).  Torus and Klein-bottle counts are selected
-  traces of powers of the reduced digraph, pairing each vertex with its
-  rotation (resp. reversed rotation) image, read off one column of the
-  power per rotation orbit.  The methods ``reduced`` and ``glued`` both
-  name this route for the thin cylinder; ``glued`` applies to it alone.
+* production — one big-int vector engine keeps v = M^n e_s for each start
+  vertex s of a transfer digraph M and reads every series linearly off
+  these vectors.  The thin cylinder walks the glued quotient (the all-zero
+  component of the reduced digraph folded by rotation and reversal) from
+  0^m; the torus and Klein bottle walk the reduced digraph from each
+  rotation orbit, pairing each vertex with its rotation (resp. reversed
+  rotation) image.  The methods ``reduced`` and ``glued`` both name this
+  route for the thin cylinder; ``glued`` applies to it alone.
 * ``full`` — walk counts on the full digraph of column words, the
   independent cross-check.
 
-Series values are Python integers (exact).  Engines advance one
-matrix/vector step per term and cache their progress per width, so asking
-for more terms or another twist extends earlier work instead of
-recomputing powers.  Each engine is built under its own lock and carries
-another for its steps, so distinct widths can be built and driven from
-different threads at once.
+Series values are Python integers (exact).  Engines advance one step per
+term and cache their progress per width, so asking for more terms or
+another twist extends earlier work instead of recomputing powers.  Each
+engine is built under its own lock and carries another for its steps, so
+distinct widths can be built and driven from different threads at once.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -48,10 +47,10 @@ from .transfer import ResourceLimitError
 
 FAMILIES = ("tnc", "tg", "kb")
 
-# Documented route limit (see README; the full and thin-cylinder routes are
-# capped by transfer.FULL_MATRIX_LIMIT and transfer.GLUED_LIMIT).  Torus/Klein
-# traces step one big-int vector per rotation orbit, about 0.5 s a term at
-# m = 11.
+# Documented torus/Klein limit (see README; the full and thin-cylinder
+# routes are capped by transfer.FULL_MATRIX_LIMIT and transfer.GLUED_LIMIT).
+# The trace engine steps one big-int vector of length 2^m per rotation
+# orbit; at m = 11 terms 3..20 cost about 0.8 s each on a 2-core Xeon.
 TG_KB_REDUCED_LIMIT = 11
 
 
@@ -100,55 +99,47 @@ class Series:
         return "".join(f"{n} {v}\n" for n, v in enumerate(self.values, start=1))
 
 
-def _matvec(rows: list[list[int]], v: list[int]) -> list[int]:
-    return [sum(map(mul, row, v)) for row in rows]
+class _Engine:
+    """A per-width series cache: ``series[family][p]`` holds the counts for
+    n = 1, 2, ..., and each ``_step`` appends one term to every series."""
+
+    def __init__(self) -> None:
+        self.lock = threading.RLock()
+
+    def values(self, family: str, p: int, terms: int) -> list[int]:
+        with self.lock:
+            store = self.series[family][p]
+            while len(store) < terms:
+                self._step()
+            return store[:terms]
 
 
-class _OrbitTraceEngine:
-    """Per-width engine for torus/Klein counts.
+class _VectorEngine(_Engine):
+    """Walk counts as big-int vectors v_j = M^n e_s, one per start s_j.
 
-    Keeps v_r = A^n e_r, A the reduced transfer matrix, as one full-length
-    big-int list per rotation-orbit representative r (its least word).  A
-    is symmetric and commutes with the rotation R, so with k over the
-    |orbit(r)| members, tg(n, p) = sum_r sum_k v_r[R^p r] and
-    kb(n, p) = sum_r sum_k v_r[R^(-p-2k) rev(r)]; ``reads[family][p][j]``
-    lists those positions for representative j.  A step computes only the
-    rows of r's component, outside which v_r is zero; each row lists its
-    successors repeated by multiplicity, straight from
-    :func:`transfer.reduced_arcs`, so the dense matrix is never built.
+    M is given as successor rows, each successor repeated by its
+    multiplicity, so a step w[x] = sum of v[y] over row x gives w = M v.
+    Each start's component is strongly connected, so outside it v_j stays
+    zero and a step computes only the component's rows.  ``first[j]`` is
+    M e_s (n = 1).  Every series is a linear read: the count for (family,
+    p) is the sum over j of v_j[x] for x in ``reads[family][p][j]``.
     """
 
-    def __init__(self, m: int):
-        self.lock = threading.RLock()
-        n_words = 1 << m
-        src, outlets = transfer.reduced_arcs(np.arange(n_words), m)
-        # the arcs come grouped by inlet, so they split into successor rows
-        bounds = np.cumsum(np.bincount(src, minlength=n_words))[:-1]
-        rows = [row.tolist() for row in np.split(outlets, bounds)]
-        words = [format(x, f"0{m}b") for x in range(n_words)]
-        orbits = [{rotate(w, k) for k in range(m)} for w in words]
-        self.reps = [i for i, w in enumerate(words) if w == min(orbits[i])]
-        self.reads: dict[str, list[list[list[int]]]] = {"tg": [], "kb": []}
-        for p in range(m):
-            tg, kb = [], []
-            for r in self.reps:
-                w, size = words[r], len(orbits[r])
-                tg.append([int(rotate(w, p), 2)] * size)
-                kb.append([int(rotate(w[::-1], -p - 2 * k), 2) for k in range(size)])
-            self.reads["tg"].append(tg)
-            self.reads["kb"].append(kb)
-        # (members, their rows) of each component, shared by its representatives
+    def __init__(
+        self, rows: list[list[int]], starts: list[int], first: list[list[int]], reads: dict
+    ):
+        super().__init__()
+        self.starts, self.vectors, self.reads = starts, first, reads
+        # (members, their rows) of each component, shared by its starts
         block_of: dict[int, tuple[list[int], list[list[int]]]] = {}
         self.blocks: list[tuple[list[int], list[list[int]]]] = []
-        for r in self.reps:
-            if r not in block_of:
-                members = sorted(transfer._reach([r], rows, range(n_words)))
+        for s in starts:
+            if s not in block_of:
+                members = sorted(transfer._reach([s], rows, range(len(rows))))
                 block = (members, [rows[x] for x in members])
                 block_of.update(dict.fromkeys(members, block))
-            self.blocks.append(block_of[r])
-        # A is symmetric, so v_r starts as row r of A
-        self.vectors = [np.bincount(rows[r], minlength=n_words).tolist() for r in self.reps]
-        self.series = {family: [[] for _ in range(m)] for family in self.reads}
+            self.blocks.append(block_of[s])
+        self.series = {family: [[] for _ in by_p] for family, by_p in reads.items()}
         self._record()
 
     def _record(self) -> None:
@@ -156,46 +147,55 @@ class _OrbitTraceEngine:
             for p, store in enumerate(self.series[family]):
                 store.append(sum(v[x] for v, xs in zip(self.vectors, reads[p]) for x in xs))
 
-    def extend(self, terms: int) -> None:
-        with self.lock:
-            while len(self.series["tg"][0]) < terms:
-                for j, (members, rows) in enumerate(self.blocks):
-                    v = self.vectors[j]
-                    self.vectors[j] = w = [0] * len(v)
-                    for x, row in zip(members, rows):
-                        w[x] = sum(map(v.__getitem__, row))
-                self._record()
-
-    def values(self, family: str, p: int, terms: int) -> list[int]:
-        self.extend(terms)
-        return self.series[family][p][:terms]
+    def _step(self) -> None:
+        for j, (members, rows) in enumerate(self.blocks):
+            v = self.vectors[j]
+            self.vectors[j] = w = [0] * len(v)
+            for x, row in zip(members, rows):
+                w[x] = sum(map(v.__getitem__, row))
+        self._record()
 
 
-class _TncVectorEngine:
-    """Per-width engine for thin-cylinder counts on the glued quotient.
+def _trace_engine(m: int) -> _VectorEngine:
+    """Torus/Klein counts on the reduced digraph A, whose rows come straight
+    from :func:`transfer.reduced_arcs`, so the dense matrix is never built.
 
-    Tracks the first basis row of the quotient's powers (its matrix is not
-    symmetric); the count is the leading diagonal entry.
+    One start per rotation orbit, its least word r.  A is symmetric and
+    commutes with the rotation R, so with k over the |orbit(r)| members,
+    tg(n, p) = sum_r sum_k v_r[R^p r] and kb(n, p) = sum_r sum_k
+    v_r[R^(-p-2k) rev(r)].  v_r starts as row r of A.
     """
+    n_words = 1 << m
+    src, outlets = transfer.reduced_arcs(np.arange(n_words), m)
+    # the arcs come grouped by inlet, so they split into successor rows
+    bounds = np.cumsum(np.bincount(src, minlength=n_words))[:-1]
+    rows = [row.tolist() for row in np.split(outlets, bounds)]
+    words = np.arange(n_words)
+    rotations = np.stack([transfer.rotate_words(words, k, m) for k in range(m)])
+    reps = np.flatnonzero(rotations.min(axis=0) == words)
+    sizes = [len(set(rotations[:, r].tolist())) for r in reps]
+    flipped = transfer.reverse_words(reps, m)
+    reads: dict[str, list[list[list[int]]]] = {"tg": [], "kb": []}
+    for p in range(m):
+        kb = np.stack([transfer.rotate_words(flipped, -p - 2 * k, m) for k in range(m)]).T
+        reads["tg"].append([[x] * size for x, size in zip(rotations[p, reps].tolist(), sizes)])
+        reads["kb"].append([row[:size] for row, size in zip(kb.tolist(), sizes)])
+    reps = reps.tolist()
+    first = [np.bincount(rows[r], minlength=n_words).tolist() for r in reps]
+    return _VectorEngine(rows, reps, first, reads)
 
-    def __init__(self, m: int):
-        self.lock = threading.RLock()
-        d = transfer.build_glued(m)
-        assert d.vertices[0] == "0" * m
-        rows = [[int(x) for x in row] for row in d.adj]
-        self.step_rows = [list(col) for col in zip(*rows)]  # left action
-        self.vec = [1] + [0] * (len(rows) - 1)
-        self.values: list[int] = []
 
-    def extend(self, terms: int) -> list[int]:
-        with self.lock:
-            while len(self.values) < terms:
-                self.vec = _matvec(self.step_rows, self.vec)
-                self.values.append(self.vec[0])
-            return self.values[:terms]
+def _tnc_engine(m: int) -> _VectorEngine:
+    """Thin-cylinder counts on the glued quotient G: the count is
+    G^n[0, 0] = (G^n e_0)[0], with 0^m at index 0, so G's own rows serve
+    although G is not symmetric; the vector starts as column 0 of G."""
+    adj = transfer.build_glued(m).adj
+    index = np.arange(len(adj))
+    rows = [np.repeat(index, row).tolist() for row in adj]
+    return _VectorEngine(rows, [0], [adj[:, 0].tolist()], {"tnc": [[[0]]]})
 
 
-class _FullWalkEngine:
+class _FullWalkEngine(_Engine):
     """Per-width engine for all full-route counts.
 
     Walk counts on the full word digraph are grouped by outlet class: two
@@ -206,20 +206,16 @@ class _FullWalkEngine:
     """
 
     def __init__(self, m: int):
-        self.m = m
-        self.lock = threading.RLock()
+        super().__init__()
         words = enumerate_column_words(m)
         self.nv = len(words)
         self.o_class = [int(outlet(w), 2) for w in words]
         self.i_class = [int(inlet(w), 2) for w in words]
         self.b_index = words.index("b" * m)
-        self.src_tg = [
-            [int(outlet(rotate(w, p)), 2) for w in words] for p in range(m)
-        ]
-        self.src_kb = [
-            [int(outlet(horizontal_convert(rotate(w, p))), 2) for w in words]
-            for p in range(m)
-        ]
+        self.sources = {
+            "tg": [[int(outlet(rotate(w, p)), 2) for w in words] for p in range(m)],
+            "kb": [[int(outlet(horizontal_convert(rotate(w, p))), 2) for w in words] for p in range(m)],
+        }
         nclasses = 1 << m
         # rows of the n-th power of the word adjacency matrix, one per
         # outlet class (valid for n >= 1); start at n = 1
@@ -228,21 +224,18 @@ class _FullWalkEngine:
             for c in range(nclasses)
         ]
         self.n = 1
-        self.tnc: list[int] = []  # tnc value f(k) appended once rows reach k+1
-        self.tg: list[list[int]] = [[] for _ in range(m)]
-        self.kb: list[list[int]] = [[] for _ in range(m)]
+        # the tnc value f(k) is appended once rows reach k+1
+        self.series = {"tnc": [[]], "tg": [[] for _ in range(m)], "kb": [[] for _ in range(m)]}
         self._record()
 
     def _record(self) -> None:
         rows = self.rows
-        for p in range(self.m):
-            src = self.src_tg[p]
-            self.tg[p].append(sum(rows[src[y]][y] for y in range(self.nv)))
-            src = self.src_kb[p]
-            self.kb[p].append(sum(rows[src[y]][y] for y in range(self.nv)))
+        for family, sources in self.sources.items():
+            for src, store in zip(sources, self.series[family]):
+                store.append(sum(rows[src[y]][y] for y in range(self.nv)))
         if self.n >= 2:
             # walks b^m -> b^m of length n give the cylinder count at n - 1
-            self.tnc.append(rows[self.o_class[self.b_index]][self.b_index])
+            self.series["tnc"][0].append(rows[self.o_class[self.b_index]][self.b_index])
 
     def _step(self) -> None:
         nclasses = len(self.rows)
@@ -258,19 +251,6 @@ class _FullWalkEngine:
         self.n += 1
         self._record()
 
-    def extend_tnc(self, terms: int) -> list[int]:
-        with self.lock:
-            while len(self.tnc) < terms:
-                self._step()
-            return self.tnc[:terms]
-
-    def extend_trace(self, family: str, p: int, terms: int) -> list[int]:
-        with self.lock:
-            store = self.tg if family == "tg" else self.kb
-            while len(store[p]) < terms:
-                self._step()
-            return store[p][:terms]
-
 
 # engine kind -> (width limit, route name for the limit error)
 _LIMITS = {
@@ -278,12 +258,12 @@ _LIMITS = {
     "tnc": (transfer.GLUED_LIMIT, "glued route"),
     "full": (transfer.FULL_MATRIX_LIMIT, "full route"),
 }
-_ENGINES: dict[tuple[str, int], object] = {}
+_ENGINES: dict[tuple[str, int], _Engine] = {}
 _BUILD_LOCKS: dict[tuple[str, int], threading.Lock] = {}
 _ENGINE_LOCK = threading.Lock()  # guards the two dictionaries, never a build
 
 
-def _engine(kind: str, m: int):
+def _engine(kind: str, m: int) -> _Engine:
     limit, route = _LIMITS[kind]
     if m > limit:
         raise ResourceLimitError(f"{route} limited to m <= {limit}, got {m}")
@@ -297,29 +277,22 @@ def _engine(kind: str, m: int):
         with _ENGINE_LOCK:
             engine = _ENGINES.get(key)
         if engine is None:
-            if kind == "trace":
-                engine = _OrbitTraceEngine(m)
-            elif kind == "tnc":
-                engine = _TncVectorEngine(m)
-            else:
-                engine = _FullWalkEngine(m)
+            build = {"trace": _trace_engine, "tnc": _tnc_engine, "full": _FullWalkEngine}[kind]
+            engine = build(m)
             with _ENGINE_LOCK:
                 _ENGINES[key] = engine
+                # later requests find the engine, so its build lock can go
+                del _BUILD_LOCKS[key]
     return engine
 
 
 def _series_values(family: str, m: int, p: int, terms: int, method: str) -> list[int]:
     if method not in ("full", "reduced", "glued"):
         raise ValueError(f"unknown method {method!r}")
-    if family == "tnc":
-        if method == "full":
-            return _engine("full", m).extend_tnc(terms)
-        return _engine("tnc", m).extend(terms)
-    if method == "glued":
+    if method == "glued" and family != "tnc":
         raise ValueError("the glued route applies to the thin cylinder only")
-    if method == "reduced":
-        return _engine("trace", m).values(family, p, terms)
-    return _engine("full", m).extend_trace(family, p, terms)
+    kind = "full" if method == "full" else ("tnc" if family == "tnc" else "trace")
+    return _engine(kind, m).values(family, 0 if family == "tnc" else p, terms)
 
 
 def series(spec: GridSpec, terms: int, method: str = "reduced") -> Series:

@@ -66,19 +66,18 @@ def dominant_eigenvalue(
     )
 
 
-def amplitude_estimate(
-    m: int, family: str = "tnc", n_max: int = 80, window: int = 5
-) -> float:
+def amplitude_estimate(m: int, n_max: int = 80, window: int = 5) -> float:
     """Leading asymptotic coefficient of the thin-cylinder count: the limit
     of count(n) / theta^n.
 
     Estimated at the largest feasible n with a sliding mean over ``window``
     consecutive terms to damp the alternating subdominant contributions.
     Each ratio is formed as an exact fraction, since the count alone leaves
-    the float range past about 1e308.
+    the float range past about 1e308.  The window must hold at least one
+    term and fit in n = 1 .. n_max.
     """
-    if family != "tnc":
-        raise ValueError("amplitude estimation is provided for the tnc family")
+    if window < 1 or n_max < window:
+        raise ValueError(f"need 1 <= window <= n_max, got window={window}, n_max={n_max}")
     from . import counting  # local import; counting depends on this module
 
     theta = counting.zero_component_spectrum(m).theta

@@ -184,6 +184,21 @@ def reduced_arcs(inlets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return u[ok], ((w << 1) | (last ^ s ^ s0))[ok]
 
 
+def rotate_words(words: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Cyclic left shift by ``k`` of int words of width m (row j in bit
+    m-1-j), the int form of :func:`gridcycles.alphabet.rotate`."""
+    k %= m
+    return ((words << k) | (words >> (m - k))) & ((1 << m) - 1)
+
+
+def reverse_words(words: np.ndarray, m: int) -> np.ndarray:
+    """Row order reversed in int words of width m (row j in bit m-1-j)."""
+    out = np.zeros_like(words)
+    for j in range(m):
+        out |= ((words >> j) & 1) << (m - 1 - j)
+    return out
+
+
 def build_reduced(m: int) -> TransferDigraph:
     """Reduced transfer digraph on all 2^m binary words, dense multiplicity
     matrix.  Vertex order: 0^m first, then lexicographic (= numeric)."""
@@ -218,13 +233,10 @@ def build_glued(m: int) -> TransferDigraph:
         raise ResourceLimitError(f"glued quotient limited to m <= {GLUED_LIMIT}, got {m}")
     size, mask = 1 << m, (1 << m) - 1
     words = np.arange(size, dtype=np.int64)
-    reversal = np.zeros_like(words)
-    for j in range(m):
-        reversal |= ((words >> j) & 1) << (m - 1 - j)
     least = words.copy()  # least word of each word's dihedral orbit
-    for x in (words, reversal):
+    for x in (words, reverse_words(words, m)):
         for k in range(m):
-            np.minimum(least, ((x << k) | (x >> (m - k))) & mask, out=least)
+            np.minimum(least, rotate_words(x, k, m), out=least)
     seen = np.zeros(size, dtype=bool)
     seen[0] = True
     frontier = words[:1]
@@ -247,14 +259,13 @@ def build_glued(m: int) -> TransferDigraph:
 
 
 def _reach(start: Iterable[int], lists: list[list[int]], allowed: Container[int]) -> set[int]:
+    # breadth-first by whole frontiers: set unions skip repeated successors
     seen = set(start)
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        for u in lists[v]:
-            if u in allowed and u not in seen:
-                seen.add(u)
-                stack.append(u)
+    frontier = seen
+    while frontier:
+        step = set().union(*(lists[v] for v in frontier))
+        frontier = {u for u in step if u in allowed} - seen
+        seen |= frontier
     return seen
 
 

@@ -126,7 +126,7 @@ def test_engine_builds_do_not_serialise_across_widths(monkeypatch):
 
 
 def test_concurrent_requests_build_each_engine_once(monkeypatch):
-    real = ct._TncVectorEngine
+    real = ct._tnc_engine
     builds = []
 
     def build(m):
@@ -135,7 +135,7 @@ def test_concurrent_requests_build_each_engine_once(monkeypatch):
 
     monkeypatch.setattr(ct, "_ENGINES", {})
     monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
-    monkeypatch.setattr(ct, "_TncVectorEngine", build)
+    monkeypatch.setattr(ct, "_tnc_engine", build)
     got = []
     threads = [
         threading.Thread(target=lambda m=m: got.append(ct._engine("tnc", m)), daemon=True)
@@ -153,6 +153,7 @@ def test_concurrent_requests_build_each_engine_once(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert sorted(builds) == [2, 3, 4]
     assert len(got) == 12 and len({id(e) for e in got}) == 3
+    assert ct._BUILD_LOCKS == {}
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +193,13 @@ def test_route_agreement_small(m):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(["tg", "kb"]),
+    st.sampled_from(["tg", "kb", "tnc"]),
     st.integers(2, 7),
     st.integers(0, 6),
     st.integers(1, 12),
 )
 def test_reduced_and_full_routes_agree(family, m, p, n):
-    spec = GridSpec(family, m, p, n)
+    spec = GridSpec(family, m, 0 if family == "tnc" else p, n)
     assert ct.count(spec, method="reduced") == ct.count(spec, method="full")
 
 
@@ -216,6 +217,24 @@ def test_trace_route_at_its_limit(family):
             sigma = [d.index(al.rotate(w, p)[::-1]) for w in d.vertices]
         expected = [int(a[sigma, range(len(d))].sum()), int((a[sigma] * a.T).sum())]
         assert ct.series(GridSpec(family, m, p), 2).values == expected
+
+
+def test_cylinder_route_at_its_limit(monkeypatch):
+    # n = 1, 2 against the engine's own glued quotient in int64: G[0, 0]
+    # and (G G)[0, 0]
+    built = []
+    real = tr.build_glued
+
+    def build_glued(width):
+        built.append(real(width))
+        return built[-1]
+
+    monkeypatch.setattr(ct, "_ENGINES", {})
+    monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
+    monkeypatch.setattr(tr, "build_glued", build_glued)
+    values = ct.series(GridSpec("tnc", tr.GLUED_LIMIT), 2).values
+    g = built[0].adj
+    assert values == [int(g[0, 0]), int(g[0] @ g[:, 0])]
 
 
 def test_trace_engine_never_builds_the_dense_matrix(monkeypatch):

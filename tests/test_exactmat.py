@@ -21,19 +21,31 @@ def _power(m, n):
 def test_pow_addition_law(m, i, j):
     # the engine's vectors are columns of A^n: stepping A^i e_r by j more
     # terms gives A^j (A^i e_r), with A^j from numpy
-    engine = counting._OrbitTraceEngine(m)
-    assert engine.vectors == [_power(m, 1)[:, r].tolist() for r in engine.reps]
-    engine.extend(i)
+    engine = counting._trace_engine(m)
+    assert engine.vectors == [_power(m, 1)[:, r].tolist() for r in engine.starts]
+    engine.values("tg", 0, i)
     columns = np.array(engine.vectors, dtype=object).T
-    engine.extend(i + j)
+    engine.values("tg", 0, i + j)
     assert engine.vectors == (_power(m, j) @ columns).T.tolist()
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_cylinder_vector_is_a_power_column(m):
+    # the thin-cylinder engine steps G's rows from column 0: v = G^n e_0
+    engine = counting._tnc_engine(m)
+    g = transfer.build_glued(m).adj.astype(object)
+    power = g
+    for n in range(1, 7):
+        engine.values("tnc", 0, n)
+        assert engine.vectors == [power[:, 0].tolist()]
+        power = power @ g
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6])
 def test_short_orbit_reads(m):
     # orbits shorter than m: each orbit's reads sum its members' selected
     # entries (A^n)[sigma(i), i], sigma the torus or Klein source map
-    engine = counting._OrbitTraceEngine(m)
+    engine = counting._trace_engine(m)
     words = transfer.build_reduced(m).vertices
     short = ["0" * m, "1" * m] + (["01" * (m // 2)] if m % 2 == 0 else [])
     sources = {
@@ -41,10 +53,10 @@ def test_short_orbit_reads(m):
         "kb": lambda w, p: rotate(w, p)[::-1],
     }
     for n in range(1, 7):
-        engine.extend(n)
+        engine.values("tg", 0, n)
         power = _power(m, n)
         for word in short:
-            j = engine.reps.index(words.index(word))
+            j = engine.starts.index(words.index(word))
             orbit = {rotate(word, k) for k in range(m)}
             for family, source in sources.items():
                 for p in range(m):
@@ -69,11 +81,11 @@ def test_power_entry_reproduces_cylinder_counts():
 @pytest.mark.parametrize("m", range(2, 7))
 def test_symmetric_powers_stay_symmetric(m):
     # A^n is symmetric: v_r[r'] == v_r'[r] across representatives
-    engine = counting._OrbitTraceEngine(m)
+    engine = counting._trace_engine(m)
     for terms in range(2, 51):
-        engine.extend(terms)
-        for v, r in zip(engine.vectors, engine.reps):
-            for w, s in zip(engine.vectors, engine.reps):
+        engine.values("tg", 0, terms)
+        for v, r in zip(engine.vectors, engine.starts):
+            for w, s in zip(engine.vectors, engine.starts):
                 assert v[s] == w[r]
 
 
@@ -147,9 +159,11 @@ def test_amplitude_past_the_float_range():
     assert abs(amplitude_estimate(8, n_max=240) - expected) <= 1e-9
 
 
-def test_amplitude_only_for_cylinders():
+@pytest.mark.parametrize("n_max,window", [(3, 5), (0, 5), (5, 0)])
+def test_amplitude_rejects_windows_past_the_series(n_max, window):
+    # a window longer than the series would divide by theta^n for n <= 0
     with pytest.raises(ValueError):
-        amplitude_estimate(3, family="tg")
+        amplitude_estimate(3, n_max=n_max, window=window)
 
 
 @pytest.mark.parametrize("m", range(2, 7))

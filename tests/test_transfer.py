@@ -154,6 +154,16 @@ def test_reversal_is_an_automorphism(m):
     assert np.array_equal(d.adj[np.ix_(perm, perm)], d.adj)
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_int_word_rotation_and_reversal_match_the_string_forms(m):
+    words = np.arange(1 << m)
+    strings = [format(x, f"0{m}b") for x in words]
+    assert tr.reverse_words(words, m).tolist() == [int(w[::-1], 2) for w in strings]
+    for k in range(-m, 2 * m):
+        expected = [int(al.rotate(w, k), 2) for w in strings]
+        assert tr.rotate_words(words, k, m).tolist() == expected
+
+
 def test_full_hconversion_relation():
     # horizontal conversion permutes the full digraph's vertices
     d = tr.build_full(3)
