@@ -63,11 +63,6 @@ def ud_arc(x: str, y: str) -> bool:
     return _DOWN[x] == _UP[y]
 
 
-def lr_arc(x: str, y: str) -> bool:
-    """Can letter ``y`` sit directly to the right of letter ``x`` in a row?"""
-    return _RIGHT[x] == _LEFT[y]
-
-
 def rotate(word: str, k: int = 1) -> str:
     """Cyclic left shift by ``k`` positions (works for letter and binary words)."""
     m = len(word)

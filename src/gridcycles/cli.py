@@ -443,7 +443,7 @@ def cmd_digraph(args) -> int:
     census = transfer.components(d) if args.kind != "glued" else None
     stats: dict = {"kind": d.kind, "m": d.m, "vertices": len(d)}
     if d.adj is not None:
-        stats["multiplicity_total"] = int(d.adj.astype("int64").sum())
+        stats["multiplicity_total"] = int(d.adj.sum(dtype=np.int64))
     if census is not None:
         sizes = sorted(census.sizes, reverse=True)
         stats["components"] = len(census.sizes)

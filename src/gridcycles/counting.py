@@ -135,7 +135,7 @@ class _VectorEngine(_Engine):
         self.blocks: list[tuple[list[int], list[list[int]]]] = []
         for s in starts:
             if s not in block_of:
-                members = sorted(transfer._reach([s], rows, range(len(rows))))
+                members = sorted(transfer._reach(s, rows))
                 block = (members, [rows[x] for x in members])
                 block_of.update(dict.fromkeys(members, block))
             self.blocks.append(block_of[s])
@@ -332,6 +332,8 @@ def count_kb(m: int, p: int, n: int, method: str = "reduced") -> int:
 def verify_route_agreement(m: int, p: int, n: int) -> bool:
     """Does the full-digraph route agree with the production route for all
     three families up to length n?"""
+    transfer._check_width(m)
+    p %= m
     return all(
         _series_values(family, m, p, n, "reduced")
         == _series_values(family, m, p, n, "full")

@@ -1,9 +1,14 @@
 """Minimal linear recurrences and rational generating functions, exactly.
 
-Works over exact rationals throughout (Fraction); no floating-point
-fitting.  For an integer sequence with a rational generating function the
-minimal denominator has integer coefficients and constant term 1, so
-confirmed recurrences come out with integer coefficients.
+An integer series with a rational generating function has, by Fatou's
+lemma, a minimal denominator with integer coefficients and constant term 1:
+its minimal recurrence f(n) = c_1 f(n-1) + ... + c_d f(n-d) has integer
+c_k.  Berlekamp–Massey runs over exact rationals (Fraction), so a fit with a
+non-integral coefficient cannot be the series' minimal recurrence: more
+terms are needed.  Everything after the fit is integer arithmetic.
+
+A fit is accepted on at least 2·order + EXTRA_TERMS terms; ``order_report``
+computes the series at each length of REPORT_TERMS until a fit is accepted.
 
 Series are indexed from n = 1 (value lists as produced by
 :mod:`gridcycles.counting`); generating functions have no constant term.
@@ -13,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .counting import FAMILIES, GridSpec, series
+
+EXTRA_TERMS = 4  # a recurrence of order d is accepted on 2·d + EXTRA_TERMS terms
+REPORT_TERMS = (16, 32, 64, 128, 220)  # series lengths order_report tries in turn
 
 
 class SeriesTooShort(ValueError):
@@ -24,26 +31,19 @@ class SeriesTooShort(ValueError):
 
 @dataclass
 class Recurrence:
-    """f(n) = sum_k coeffs[k-1] * f(n-k) for all n > order + offset."""
+    """f(n) = sum_k coeffs[k-1] * f(n-k) for all n > order."""
 
     order: int
-    coeffs: list[Fraction]
-    offset: int = 0
-    confirmed: bool = True
+    coeffs: list[int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "coeffs": [str(c) for c in self.coeffs],
-            "offset": self.offset,
-            "confirmed": self.confirmed,
-        }
+        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
 
 @dataclass
 class RationalGF:
     """numerator(x) / denominator(x), integer coefficients by ascending
-    degree; denominator constant term +1, joint content 1."""
+    degree; denominator constant term +1."""
 
     numerator: list[int]
     denominator: list[int]
@@ -81,138 +81,75 @@ def _berlekamp_massey(seq: list[Fraction]) -> list[Fraction]:
     return cur
 
 
-def _check(values, coeffs, offset: int) -> bool:
-    d = len(coeffs)
-    return all(
-        values[i] == sum(c * values[i - 1 - k] for k, c in enumerate(coeffs))
-        for i in range(d + offset, len(values))
-    )
-
-
-def minimal_recurrence(values: list[int], margin: int = 4) -> Recurrence:
+def minimal_recurrence(values: list[int]) -> Recurrence:
     """Shortest linear recurrence consistent with every provided term.
 
-    Raises SeriesTooShort when fewer than 2*order + margin terms are
-    available: below that the fit is not evidence of the true minimal
-    order.  (Relax by passing a smaller margin, at your own risk; the
-    ``confirmed`` flag records the judgement.)
+    Raises SeriesTooShort when the fit has a non-integral coefficient or
+    fewer than 2*order + EXTRA_TERMS terms are available: either way the
+    fit is not evidence of the true minimal recurrence.
     """
     if not values:
         raise SeriesTooShort("empty series")
-    seq = [Fraction(v) for v in values]
-    coeffs = _berlekamp_massey(seq)
-    order = len(coeffs)
-    if not _check(seq, coeffs, 0):
-        raise AssertionError("recurrence fit failed to re-generate its input")
-    confirmed = len(values) >= 2 * order + margin
-    if not confirmed:
+    fit = _berlekamp_massey([Fraction(v) for v in values])
+    order = len(fit)
+    if any(c.denominator != 1 for c in fit):
+        raise SeriesTooShort(
+            f"{len(values)} terms fit only a non-integral recurrence of order {order}"
+        )
+    if len(values) < 2 * order + EXTRA_TERMS:
         raise SeriesTooShort(
             f"{len(values)} terms cannot confirm a recurrence of order {order}; "
-            f"need {2 * order + margin}"
+            f"need {2 * order + EXTRA_TERMS}"
         )
-    return Recurrence(order, coeffs, offset=0, confirmed=True)
-
-
-def hankel_rank(values: list[int], size: int) -> int:
-    """Exact rank of the size x size Hankel matrix H[i][j] = values[i+j].
-
-    The minimal recurrence order of a long-enough sequence equals the rank
-    of its large Hankel matrices, so rank(H_d) = d together with
-    rank(H_{d+1}) = d certifies minimality of order d directly.
-    """
-    if size < 1:
-        return 0
-    if len(values) < 2 * size - 1:
-        raise SeriesTooShort(f"need {2 * size - 1} terms for a {size}-Hankel rank")
-    mat = [[Fraction(values[i + j]) for j in range(size)] for i in range(size)]
-    rank = 0
-    for col in range(size):
-        pivot = next((r for r in range(rank, size) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(size):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
-def _content(ints: list[int]) -> int:
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return g or 1
+    coeffs = [c.numerator for c in fit]
+    if any(
+        values[i] != sum(c * values[i - 1 - k] for k, c in enumerate(coeffs))
+        for i in range(order, len(values))
+    ):
+        raise AssertionError("recurrence fit failed to re-generate its input")
+    return Recurrence(order, coeffs)
 
 
 def to_generating_function(values: list[int], rec: Recurrence) -> RationalGF:
-    """Normalized rational function whose expansion from x^1 equals the
-    series.  Denominator 1 - c_1 x - ... - c_d x^d cleared to integers."""
-    if not rec.confirmed:
-        raise ValueError("recurrence must be confirmed on the series")
-    den_q = [Fraction(1)] + [-c for c in rec.coeffs]
-    f = [Fraction(0)] + [Fraction(v) for v in values]  # power series from x^0
-    num_q = []
-    for j in range(len(f)):
-        s = sum(den_q[k] * f[j - k] for k in range(min(j, rec.order) + 1))
-        num_q.append(s)
-    max_deg = rec.order + rec.offset
-    if any(c != 0 for c in num_q[max_deg + 1 :]):
+    """Rational function whose expansion from x^1 equals the series:
+    denominator 1 - c_1 x - ... - c_d x^d, numerator the first d + 1
+    coefficients of the denominator times the series."""
+    den = [1] + [-c for c in rec.coeffs]
+    f = [0] + list(values)  # power series from x^0
+    num = [
+        sum(den[k] * f[j - k] for k in range(min(j, rec.order) + 1)) for j in range(len(f))
+    ]
+    if any(num[rec.order + 1 :]):
         raise ValueError("recurrence is inconsistent with the series")
-    num_q = num_q[: max_deg + 1]
-    while num_q and num_q[-1] == 0:
-        num_q.pop()
-    scale = 1
-    for c in num_q + den_q:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    num = [int(c * scale) for c in num_q]
-    den = [int(c * scale) for c in den_q]
-    g = gcd(_content(num), _content(den))
-    num = [c // g for c in num]
-    den = [c // g for c in den]
-    if den[0] < 0:
-        num = [-c for c in num]
-        den = [-c for c in den]
-    if den[0] != 1:
-        raise AssertionError("integer series must yield denominator constant 1")
+    num = num[: rec.order + 1]
+    while num and num[-1] == 0:
+        num.pop()
     return RationalGF(num, den)
 
 
 def expand(gf: RationalGF, terms: int) -> list[int]:
     """First ``terms`` coefficients (from x^1) of the Taylor expansion."""
-    if not gf.denominator or gf.denominator[0] == 0:
-        raise ValueError("denominator constant term must be nonzero")
-    q0 = Fraction(gf.denominator[0])
-    out_q: list[Fraction] = []
-    for n in range(terms + 1):
-        p_n = Fraction(gf.numerator[n]) if n < len(gf.numerator) else Fraction(0)
-        acc = p_n - sum(
-            Fraction(gf.denominator[k]) * out_q[n - k]
-            for k in range(1, min(n, len(gf.denominator) - 1) + 1)
-        )
-        out_q.append(acc / q0)
-    if out_q[0] != 0:
+    num, den = gf.numerator, gf.denominator
+    if not den or den[0] != 1:
+        raise ValueError("denominator constant term must be 1")
+    if num and num[0] != 0:
         raise ValueError("series expansions here start at x^1; constant term present")
-    out = []
-    for c in out_q[1:]:
-        out.append(int(c) if c.denominator == 1 else c)
-    return out
+    out = [0]
+    for n in range(1, terms + 1):
+        acc = num[n] if n < len(num) else 0
+        out.append(acc - sum(den[k] * out[n - k] for k in range(1, min(n, len(den) - 1) + 1)))
+    return out[1:]
 
 
-def order_report(family: str, m: int, p: int = 0, margin: int = 4, max_terms: int = 220) -> int:
+def order_report(family: str, m: int, p: int = 0) -> int:
     """Minimal recurrence order of the count series, from freshly computed
-    terms (grows the series until the fit is confirmed)."""
+    terms (grows the series until the fit is accepted)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    terms = 16
-    while True:
+    for terms in REPORT_TERMS:
         values = series(GridSpec(family, m, p), terms).values
         try:
-            return minimal_recurrence(values, margin=margin).order
+            return minimal_recurrence(values).order
         except SeriesTooShort:
-            if terms >= max_terms:
+            if terms == REPORT_TERMS[-1]:
                 raise
-            terms = min(max_terms, terms * 2)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Container, Iterable
 
 import numpy as np
 
@@ -76,7 +75,7 @@ class TransferDigraph:
     def successor_lists(self) -> list[list[int]]:
         """Adjacency lists (multiplicity ignored)."""
         if self.adj is not None:
-            return [list(np.nonzero(row)[0]) for row in self.adj]
+            return [np.flatnonzero(row).tolist() for row in self.adj]
         # full digraph without matrix: group vertices by inlet word
         by_inlet: dict[str, list[int]] = defaultdict(list)
         for i, w in enumerate(self.vertices):
@@ -85,7 +84,7 @@ class TransferDigraph:
 
     def predecessor_lists(self) -> list[list[int]]:
         if self.adj is not None:
-            return [list(np.nonzero(col)[0]) for col in self.adj.T]
+            return [np.flatnonzero(col).tolist() for col in self.adj.T]
         by_outlet: dict[str, list[int]] = defaultdict(list)
         for i, w in enumerate(self.vertices):
             by_outlet[outlet(w)].append(i)
@@ -258,23 +257,24 @@ def build_glued(m: int) -> TransferDigraph:
     return TransferDigraph("glued", m, tuple(format(r, f"0{m}b") for r in reps), adj)
 
 
-def _reach(start: Iterable[int], lists: list[list[int]], allowed: Container[int]) -> set[int]:
+def _reach(root: int, lists: list[list[int]]) -> set[int]:
     # breadth-first by whole frontiers: set unions skip repeated successors
-    seen = set(start)
+    seen = {root}
     frontier = seen
     while frontier:
-        step = set().union(*(lists[v] for v in frontier))
-        frontier = {u for u in step if u in allowed} - seen
+        frontier = set().union(*(lists[v] for v in frontier)) - seen
         seen |= frontier
     return seen
 
 
 def components(d: TransferDigraph) -> ComponentCensus:
-    """Weakly connected components, each verified strongly connected.
+    """Strongly connected components, which are also the weakly connected
+    ones.
 
-    A violation of strong connectivity aborts: every component of these
-    digraphs is strongly connected by construction, so a mismatch would mean
-    a construction bug.
+    Each component is the forward reach of its least unlabelled vertex, and
+    it must equal that vertex's backward reach: then no arc enters or leaves
+    it.  A mismatch aborts: every component of these digraphs is strongly
+    connected by construction, so it would mean a construction bug.
     """
     n = len(d.vertices)
     succ = d.successor_lists()
@@ -285,23 +285,14 @@ def components(d: TransferDigraph) -> ComponentCensus:
         if labels[root] != -1:
             continue
         comp = len(sizes)
-        seen = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in succ[v] + pred[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        for v in seen:
-            labels[v] = comp
-        sizes.append(len(seen))
-        forward = _reach([root], succ, seen)
-        backward = _reach([root], pred, seen)
-        if len(forward) != len(seen) or len(backward) != len(seen):
+        forward = _reach(root, succ)
+        if _reach(root, pred) != forward:
             raise AssertionError(
                 f"component {comp} of {d.kind} digraph m={d.m} is not strongly connected"
             )
+        for v in forward:
+            labels[v] = comp
+        sizes.append(len(forward))
 
     def comp_of(word: str) -> int | None:
         i = d._index.get(word)
@@ -353,15 +344,8 @@ def column_sets(m: int) -> tuple[list[str], list[str]]:
     return first_column_words(m), last_column_words(m)
 
 
-def lucas(m: int) -> int:
-    a, b = 2, 1  # L_0, L_1
-    for _ in range(m):
-        a, b = b, a + b
-    return a
-
-
 def reduced_edge_total(d: TransferDigraph) -> int:
     """Sum of all multiplicities of a reduced digraph (= 3^m + (-1)^m)."""
     if d.adj is None:
         raise ValueError("matrix required")
-    return int(d.adj.astype(np.int64).sum())
+    return int(d.adj.sum(dtype=np.int64))

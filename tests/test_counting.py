@@ -191,6 +191,14 @@ def test_route_agreement_small(m):
     assert all(ct.verify_route_agreement(m, p, 12) for p in range(m))
 
 
+def test_route_agreement_reduces_the_twist():
+    # p = 5 and p = -1 both name twist 2 at m = 3
+    assert ct.verify_route_agreement(3, 5, 4)
+    assert ct.verify_route_agreement(3, -1, 4)
+    with pytest.raises(ValueError):
+        ct.verify_route_agreement(0, 0, 4)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(["tg", "kb", "tnc"]),
