@@ -35,6 +35,7 @@ from .recurrence import (
     RationalGF,
     Recurrence,
     SeriesTooShort,
+    certified_recurrence,
     expand,
     minimal_recurrence,
     order_report,

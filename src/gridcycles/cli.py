@@ -408,12 +408,12 @@ def cmd_count(args) -> int:
                     "p": spec.p,
                     "n": spec.n,
                     "method": args.method,
-                    "value": str(value),
+                    "value": counting.decimal_str(value),
                 }
             )
         )
     else:
-        print(value)
+        print(counting.decimal_str(value))
     return 0
 
 
@@ -426,7 +426,7 @@ def cmd_series(args) -> int:
         sys.stdout.write(ser.to_bfile_text())
     else:  # csv
         if ser.values:
-            print(",".join(str(v) for v in ser.values))
+            print(",".join(map(counting.decimal_str, ser.values)))
     return 0
 
 

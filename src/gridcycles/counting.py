@@ -18,19 +18,27 @@ Each count has two routes that must agree:
   rotation) image.  The methods ``reduced`` and ``glued`` both name this
   route for the thin cylinder; ``glued`` applies to it alone.
 * ``full`` — walk counts on the full digraph of column words, the
-  independent cross-check.
+  independent cross-check.  It always steps and never reads a recurrence.
 
-Series values are Python integers (exact).  Engines advance one step per
-term and cache their progress per width, so asking for more terms or
-another twist extends earlier work instead of recomputing powers.  Each
-engine is built under its own lock and carries another for its steps, so
-distinct widths can be built and driven from different threads at once.
+Series values are Python integers (exact).  Engines cache their series per
+width, so asking for more terms or another twist extends earlier work
+instead of recomputing powers.  The vector engine steps one term at a time
+up to 2·|U| terms, U the rows it steps.  Every series it reads then
+satisfies a recurrence of order at most |U| (Cayley–Hamilton), so once a
+request goes past 2·|U| terms the engine certifies each series' minimal
+recurrence on those terms (:func:`gridcycles.recurrence.certify`), drops
+its vectors and extends the series by their recurrences.  A single count
+past the cached terms is read off the recurrence in O(order² log n)
+big-int products, without caching the terms in between.  Each engine is
+built under its own lock and carries another for its steps, so distinct
+widths can be built and driven from different threads at once.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -78,6 +86,12 @@ class GridSpec:
             raise ValueError(f"length must be >= 1, got {self.n}")
 
 
+def decimal_str(v: int) -> str:
+    """The decimal digits of v, of any length: int -> str conversion stops
+    at the interpreter's digit limit, Decimal's does not."""
+    return str(Decimal(v))
+
+
 @dataclass
 class Series:
     """Exact counts for n = 1 .. len(values)."""
@@ -92,11 +106,11 @@ class Series:
             "family": self.family,
             "m": self.m,
             "p": self.p,
-            "values": [str(v) for v in self.values],
+            "values": [decimal_str(v) for v in self.values],
         }
 
     def to_bfile_text(self) -> str:
-        return "".join(f"{n} {v}\n" for n, v in enumerate(self.values, start=1))
+        return "".join(f"{n} {decimal_str(v)}\n" for n, v in enumerate(self.values, start=1))
 
 
 class _Engine:
@@ -108,14 +122,22 @@ class _Engine:
 
     def values(self, family: str, p: int, terms: int) -> list[int]:
         with self.lock:
-            store = self.series[family][p]
-            while len(store) < terms:
-                self._step()
-            return store[:terms]
+            return self._extend(family, p, terms)[:terms]
+
+    def term(self, family: str, p: int, n: int) -> int:
+        with self.lock:
+            return self._extend(family, p, n)[n - 1]
+
+    def _extend(self, family: str, p: int, terms: int) -> list[int]:
+        store = self.series[family][p]
+        while len(store) < terms:
+            self._step()
+        return store
 
 
 class _VectorEngine(_Engine):
-    """Walk counts as big-int vectors v_j = M^n e_s, one per start s_j.
+    """Walk counts as big-int vectors v_j = M^n e_s, one per start s_j, until
+    the series are certified.
 
     M is given as successor rows, each successor repeated by its
     multiplicity, so a step w[x] = sum of v[y] over row x gives w = M v.
@@ -123,6 +145,12 @@ class _VectorEngine(_Engine):
     zero and a step computes only the component's rows.  ``first[j]`` is
     M e_s (n = 1).  Every series is a linear read: the count for (family,
     p) is the sum over j of v_j[x] for x in ``reads[family][p][j]``.
+
+    ``size`` is |U|, U the union of the components: U is closed under M and
+    holds every start, so each series satisfies the characteristic
+    polynomial of M on U.  A request past 2·|U| terms certifies every
+    series at once; then ``recurrences[family][p]`` extends each series,
+    and the vectors and rows are dropped.
     """
 
     def __init__(
@@ -132,13 +160,15 @@ class _VectorEngine(_Engine):
         self.starts, self.vectors, self.reads = starts, first, reads
         # (members, their rows) of each component, shared by its starts
         block_of: dict[int, tuple[list[int], list[list[int]]]] = {}
-        self.blocks: list[tuple[list[int], list[list[int]]]] = []
+        self.blocks: list[tuple[list[int], list[list[int]]]] | None = []
         for s in starts:
             if s not in block_of:
                 members = sorted(transfer._reach(s, rows))
                 block = (members, [rows[x] for x in members])
                 block_of.update(dict.fromkeys(members, block))
             self.blocks.append(block_of[s])
+        self.size = len(block_of)
+        self.recurrences: dict | None = None
         self.series = {family: [[] for _ in by_p] for family, by_p in reads.items()}
         self._record()
 
@@ -148,12 +178,56 @@ class _VectorEngine(_Engine):
                 store.append(sum(v[x] for v, xs in zip(self.vectors, reads[p]) for x in xs))
 
     def _step(self) -> None:
+        if self.recurrences is not None:
+            for family, stores in self.series.items():
+                for store, rec in zip(stores, self.recurrences[family]):
+                    store.append(rec.next(store))
+            return
         for j, (members, rows) in enumerate(self.blocks):
             v = self.vectors[j]
             self.vectors[j] = w = [0] * len(v)
             for x, row in zip(members, rows):
                 w[x] = sum(map(v.__getitem__, row))
         self._record()
+
+    def _extend(self, family: str, p: int, terms: int) -> list[int]:
+        if terms > 2 * self.size:
+            self._certify()
+        return super()._extend(family, p, terms)
+
+    def _certify(self) -> None:
+        if self.recurrences is not None:
+            return
+        from .recurrence import certify  # recurrence imports this module
+
+        first = next(iter(self.series.values()))[0]  # all series are equally long
+        while len(first) < 2 * self.size:
+            self._step()
+        fits = {}  # equal series share one fit
+        recurrences = {}
+        for family, stores in self.series.items():
+            recurrences[family] = []
+            for store in stores:
+                key = tuple(store)
+                if key not in fits:
+                    fits[key] = certify(store, self.size)
+                recurrences[family].append(fits[key])
+        self.recurrences = recurrences
+        self.vectors = self.blocks = None
+
+    def term(self, family: str, p: int, n: int) -> int:
+        with self.lock:
+            store = self.series[family][p]
+            if n <= max(len(store), 2 * self.size):
+                return super().term(family, p, n)
+            self._certify()
+            return self.recurrences[family][p].term(store, n)
+
+    def recurrence(self, family: str, p: int):
+        """The certified minimal recurrence of one series."""
+        with self.lock:
+            self._certify()
+            return self.recurrences[family][p]
 
 
 def _trace_engine(m: int) -> _VectorEngine:
@@ -286,18 +360,22 @@ def _engine(kind: str, m: int) -> _Engine:
     return engine
 
 
-def _series_values(family: str, m: int, p: int, terms: int, method: str) -> list[int]:
+def _route(family: str, m: int, method: str) -> _Engine:
     if method not in ("full", "reduced", "glued"):
         raise ValueError(f"unknown method {method!r}")
     if method == "glued" and family != "tnc":
         raise ValueError("the glued route applies to the thin cylinder only")
     kind = "full" if method == "full" else ("tnc" if family == "tnc" else "trace")
-    return _engine(kind, m).values(family, 0 if family == "tnc" else p, terms)
+    return _engine(kind, m)
+
+
+def _series_values(family: str, m: int, p: int, terms: int, method: str) -> list[int]:
+    return _route(family, m, method).values(family, 0 if family == "tnc" else p, terms)
 
 
 def series(spec: GridSpec, terms: int, method: str = "reduced") -> Series:
-    """Exact counts for n = 1..terms, computed incrementally (one
-    matrix or vector step per term)."""
+    """Exact counts for n = 1..terms, computed incrementally (one engine
+    step or, past the certified prefix, one recurrence step per term)."""
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
     if terms == 0:
@@ -307,10 +385,11 @@ def series(spec: GridSpec, terms: int, method: str = "reduced") -> Series:
 
 
 def count(spec: GridSpec, method: str = "reduced") -> int:
-    """Exact 2-factor count for a fully specified grid."""
+    """Exact 2-factor count for a fully specified grid.  Past the cached
+    terms and the certified prefix it costs O(log n) polynomial products."""
     if spec.n is None:
         raise ValueError("spec.n is required for a single count")
-    return _series_values(spec.family, spec.m, spec.p, spec.n, method)[spec.n - 1]
+    return _route(spec.family, spec.m, method).term(spec.family, spec.p, spec.n)
 
 
 def count_tnc(m: int, n: int, method: str = "reduced") -> int:

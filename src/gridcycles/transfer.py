@@ -84,7 +84,7 @@ class TransferDigraph:
 
     def predecessor_lists(self) -> list[list[int]]:
         if self.adj is not None:
-            return [np.flatnonzero(col).tolist() for col in self.adj.T]
+            return _inverse_lists(self.successor_lists())
         by_outlet: dict[str, list[int]] = defaultdict(list)
         for i, w in enumerate(self.vertices):
             by_outlet[outlet(w)].append(i)
@@ -257,6 +257,15 @@ def build_glued(m: int) -> TransferDigraph:
     return TransferDigraph("glued", m, tuple(format(r, f"0{m}b") for r in reps), adj)
 
 
+def _inverse_lists(succ: list[list[int]]) -> list[list[int]]:
+    """Predecessor lists from successor lists, each in increasing order."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for x, row in enumerate(succ):
+        for y in row:
+            pred[y].append(x)
+    return pred
+
+
 def _reach(root: int, lists: list[list[int]]) -> set[int]:
     # breadth-first by whole frontiers: set unions skip repeated successors
     seen = {root}
@@ -278,7 +287,7 @@ def components(d: TransferDigraph) -> ComponentCensus:
     """
     n = len(d.vertices)
     succ = d.successor_lists()
-    pred = d.predecessor_lists()
+    pred = _inverse_lists(succ) if d.adj is not None else d.predecessor_lists()
     labels = [-1] * n
     sizes: list[int] = []
     for root in range(n):

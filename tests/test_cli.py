@@ -1,3 +1,4 @@
+import decimal
 import json
 
 import pytest
@@ -23,6 +24,18 @@ def test_count_json(capsys):
     doc = json.loads(out)
     assert doc["value"] == "14458254399899446658426778070807"
     assert doc["method"] == "reduced"
+
+
+def test_count_prints_values_past_the_digit_limit(capsys):
+    # f(n) = (3^n + (-1)^n) / 2 expands x(1+3x)/(1-2x-3x^2); at n = 9100 it
+    # has 4342 digits, past the interpreter's 4300-digit int -> str limit
+    n = 9100
+    expected = str(decimal.Decimal((3**n + (-1) ** n) // 2))
+    assert len(expected) == 4342
+    assert run(capsys, "count", "tnc", "2", "--n", str(n)) == (0, expected + "\n", "")
+    ser = counting.Series("tnc", 2, 0, [1, int(decimal.Decimal(expected))])
+    assert ser.to_json_dict()["values"] == ["1", expected]
+    assert ser.to_bfile_text() == f"1 1\n2 {expected}\n"
 
 
 def test_count_rejects_cylinder_twist(capsys):

@@ -1,3 +1,4 @@
+import functools
 import sys
 import threading
 from collections import defaultdict
@@ -331,3 +332,100 @@ def test_glued_sizes_and_theta_match_tables(m, monkeypatch):
     tab = refdata.tables()
     assert [len(g) for g in built] == [tab["glued_vertices"][str(m)]]
     assert abs(theta - float(tab["theta"][str(m)])) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# certified recurrences in the vector engine
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _object_matrix(family, m):
+    d = tr.build_glued(m) if family == "tnc" else tr.build_reduced(m)
+    return d.adj.astype(object), d.vertices
+
+
+def _power_count(family, m, p, n):
+    # G^n[0, 0] for the cylinder; for the torus (Klein bottle) the sum over
+    # words w of A^n[source(w), w], source the (reversed) rotation by p
+    a, words = _object_matrix(family, m)
+    power = np.linalg.matrix_power(a, n)
+    if family == "tnc":
+        return power[0, 0]
+    index = {w: i for i, w in enumerate(words)}
+    flip = (lambda w: w[::-1]) if family == "kb" else (lambda w: w)
+    return sum(power[index[flip(al.rotate(w, p))], i] for i, w in enumerate(words))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["tnc", "tg", "kb"]).flatmap(
+        lambda family: st.integers(2, 5).flatmap(
+            lambda m: st.tuples(
+                st.just(family),
+                st.just(m),
+                st.just(0) if family == "tnc" else st.integers(0, m - 1),
+                st.integers(1, 200),
+            )
+        )
+    )
+)
+def test_count_on_a_fresh_engine_matches_full_route_and_powers(case):
+    # below 2·|U| the fresh engine steps; past it, it certifies and reads
+    # the one term off the recurrence, caching no term past 2·|U|
+    family, m, p, n = case
+    engine = ct._tnc_engine(m) if family == "tnc" else ct._trace_engine(m)
+    value = engine.term(family, p, n)
+    assert value == ct.count(GridSpec(family, m, p, n), method="full")
+    assert value == _power_count(family, m, p, n)
+    assert len(engine.series[family][p]) <= 2 * engine.size
+    assert (engine.recurrences is not None) == (n > 2 * engine.size)
+
+
+# numerator and denominator of the thin-cylinder generating functions
+TNC_CLOSED_FORMS = {
+    2: ([0, 1, 3], [1, -2, -3]),
+    3: ([0, 1, 1], [1, -3, -1]),
+    4: ([0, 1, 3, -4], [1, -6, -3, 4]),
+}
+
+
+def _closed_form_term(num, den, n):
+    coeffs = [0] * (n + 1)
+    for k in range(n + 1):
+        acc = num[k] if k < len(num) else 0
+        coeffs[k] = acc - sum(den[j] * coeffs[k - j] for j in range(1, min(k, len(den) - 1) + 1))
+    return coeffs[n]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_long_count_reads_the_recurrence(m, monkeypatch):
+    monkeypatch.setattr(ct, "_ENGINES", {})
+    monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
+    assert ct.count_tnc(m, 5000) == _closed_form_term(*TNC_CLOSED_FORMS[m], 5000)
+    engine = ct._ENGINES["tnc", m]
+    assert len(engine.series["tnc"][0]) <= 2 * engine.size
+    assert engine.vectors is None and engine.blocks is None
+    # the series goes on from the recurrence and agrees with the count
+    assert ct.series(GridSpec("tnc", m), 300).values[-1] == ct.count_tnc(m, 300)
+
+
+def test_certification_drops_vectors_and_keeps_the_series(monkeypatch):
+    monkeypatch.setattr(ct, "_ENGINES", {})
+    monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
+    before = {p: ct.series(GridSpec("kb", 4, p), 32).values for p in range(4)}
+    engine = ct._ENGINES["trace", 4]
+    assert engine.size == 16 and engine.recurrences is None
+    after = {p: ct.series(GridSpec("kb", 4, p), 80).values for p in range(4)}
+    assert engine.vectors is None
+    for p in range(4):
+        assert after[p][:32] == before[p]
+        assert after[p] == ct.series(GridSpec("kb", 4, p), 80, method="full").values
+
+
+def test_full_route_never_reads_a_recurrence():
+    spec = GridSpec("tnc", 3, 0, 40)
+    assert ct.count(spec, method="full") == ct.count(spec)
+    engine = ct._engine("full", 3)
+    assert not hasattr(engine, "recurrences")
+    assert len(engine.series["tnc"][0]) >= 40

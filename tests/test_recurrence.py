@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridcycles import counting as ct
 from gridcycles import recurrence as rc
+from gridcycles import refdata
 from gridcycles.counting import GridSpec
 
 
@@ -126,3 +129,98 @@ def test_recurrence_serialization():
         "numerator": ["0", "1", "3"],
         "denominator": ["1", "-2", "-3"],
     }
+
+
+# ---------------------------------------------------------------------------
+# modular Berlekamp–Massey and the certificate
+# ---------------------------------------------------------------------------
+
+
+def _generated(coeffs, init, length):
+    seq = list(init)
+    while len(seq) < length:
+        seq.append(sum(c * seq[-1 - k] for k, c in enumerate(coeffs)))
+    return seq
+
+
+recurrences = st.integers(1, 5).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+        st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+    )
+)
+
+
+@settings(max_examples=40)
+@given(recurrences, st.sampled_from(rc.PRIMES[:3]))
+def test_modular_bm_agrees_with_fraction_bm(case, p):
+    coeffs, init = case
+    seq = _generated(coeffs, init, 2 * len(coeffs) + 6)
+    exact = rc._berlekamp_massey([Fraction(v) for v in seq])
+    assert rc._berlekamp_massey_mod(seq, p) == [
+        c.numerator * pow(c.denominator, -1, p) % p for c in exact
+    ]
+
+
+@settings(max_examples=40)
+@given(recurrences, st.integers(0, 3))
+def test_certified_fit_holds_beyond_its_terms(case, slack):
+    # any bound at or above the true order certifies the minimal recurrence,
+    # which then generates every later term
+    coeffs, init = case
+    bound = len(coeffs) + slack
+    seq = _generated(coeffs, init, 2 * bound + 40)
+    rec = rc.certify(seq[: 2 * bound], bound)
+    assert rec.order <= len(coeffs)
+    assert rec == rc.minimal_recurrence(seq)
+    assert _generated(rec.coeffs, seq[: rec.order], len(seq)) == seq
+
+
+def test_certificate_needs_two_bound_terms():
+    with pytest.raises(ValueError):
+        rc.certify([1, 5, 13], 2)
+
+
+def test_certificate_refutes_a_bound_below_the_order():
+    # 0, 0, 0, 1 needs order 4; so does any series it starts
+    with pytest.raises(rc.CertificateError, match="exceeds"):
+        rc.certify([0, 0, 0, 1], 2)
+    # 64·(3/2)^(n-1) has order 1 but no integer recurrence of order 1
+    with pytest.raises(rc.CertificateError, match="primes"):
+        rc.certify([64, 96, 144, 216], 2)
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_engine_refuses_an_understated_size(m, monkeypatch):
+    # with |U| understated to any u in 2 .. order - 1 the engine raises
+    # instead of extending the series, and keeps stepping its vectors
+    truth = ct.series(GridSpec("tnc", m), 40).values
+    order = rc.certified_recurrence("tnc", m, 0).order
+    for u in range(2, order):
+        engine = ct._tnc_engine(m)
+        monkeypatch.setattr(engine, "size", u)
+        with pytest.raises(rc.CertificateError):
+            engine.values("tnc", 0, 2 * u + 1)
+        assert engine.recurrences is None and engine.vectors is not None
+        assert engine.values("tnc", 0, 2 * u) == truth[: 2 * u]
+
+
+def test_certified_orders_match_the_tables():
+    tab = refdata.tables()
+    for m in range(2, 12):
+        assert rc.certified_recurrence("tnc", m, 0).order == tab["orders_tnc"][str(m)], m
+    for m in range(2, 6):
+        got = [rc.certified_recurrence("tg", m, p).order for p in range(m)]
+        assert got == tab["orders_tg"][str(m)], m
+    for m in range(2, 7):
+        got = [rc.certified_recurrence("kb", m, p).order for p in range(m)]
+        assert got == [tab["orders_kb"][str(m)]] * m, m
+
+
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_far_term_equals_stepping_the_recurrence(m):
+    values = tnc_values(m, terms=200)
+    rec = rc.certified_recurrence("tnc", m, 0)
+    for n in (1, rec.order, rec.order + 1, 64, 199, 200):
+        assert rec.term(values, n) == values[n - 1]
+    assert rc.Recurrence(0, []).term([], 7) == 0

@@ -191,6 +191,12 @@ def test_components_m5():
     assert census.zero_id != census.ones_id
 
 
+@pytest.mark.parametrize("m", range(2, 10))
+def test_predecessor_lists_invert_the_successor_lists(m):
+    d = tr.build_reduced(m)
+    assert d.predecessor_lists() == [np.flatnonzero(col).tolist() for col in d.adj.T]
+
+
 def test_components_abort_on_a_one_way_arc():
     # two self-loops joined by an arc 0 -> 1 only: one weak component, two
     # strong ones
