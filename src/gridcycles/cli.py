@@ -206,7 +206,7 @@ def suite_digraph() -> RunReport:
         report.add(
             f"reduced matrix symmetric m={m}",
             True,
-            bool(np.array_equal(d.adj, d.adj.T)),
+            transfer.is_symmetric(d.adj),
             "transfer-matrix symmetry",
         )
     for m, words in zero_words.items():

@@ -23,26 +23,34 @@ Each count has two routes that must agree:
 Series values are Python integers (exact).  Engines cache their series per
 width, so asking for more terms or another twist extends earlier work
 instead of recomputing powers.  The vector engine steps one term at a time
-up to 2·|U| terms, U the rows it steps.  Every series it reads then
-satisfies a recurrence of order at most |U| (Cayley–Hamilton), so once a
-request goes past 2·|U| terms the engine certifies each series' minimal
-recurrence on those terms (:func:`gridcycles.recurrence.certify`), drops
-its vectors and extends the series by their recurrences.  A single count
-past the cached terms is read off the recurrence in O(order² log n)
-big-int products, without caching the terms in between.  Each engine is
-built under its own lock and carries another for its steps, so distinct
-widths can be built and driven from different threads at once.
+until its series are certified (:func:`gridcycles.recurrence.certify`),
+then drops its vectors and extends the series by their recurrences.  Each
+engine names a Gram series: the thin-cylinder count e_0ᵀ S^n e_0, S =
+D^½·G·D^-½ the symmetric form of the glued quotient G, and the torus
+count tg(n, 0) = tr(A^n) for the symmetric reduced matrix A.  Its Hankel
+matrices are Gram matrices of the powers, so an integer recurrence of
+order L that regenerates its first 2L + 2 terms annihilates S·e_0 (resp.
+A), and every series read off the same powers obeys it.  The engine
+follows the Gram series' order L by Berlekamp–Massey modulo one prime and
+tries that certificate once 2L + 2 terms are in; a refuted L means
+stepping on.  2·|U| terms, U the rows it steps, always certify
+(Cayley–Hamilton), so that is the cap.  A single count past the cached
+terms is read off the recurrence in O(order² log n) big-int products,
+without caching the terms in between.  Each engine is built under its own
+lock and carries another for its steps, so distinct widths can be built
+and driven from different threads at once.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
 
-from . import transfer
+from . import recurrence, transfer
 from .alphabet import (
     enumerate_column_words,
     horizontal_convert,
@@ -146,15 +154,24 @@ class _VectorEngine(_Engine):
     M e_s (n = 1).  Every series is a linear read: the count for (family,
     p) is the sum over j of v_j[x] for x in ``reads[family][p][j]``.
 
-    ``size`` is |U|, U the union of the components: U is closed under M and
-    holds every start, so each series satisfies the characteristic
-    polynomial of M on U.  A request past 2·|U| terms certifies every
-    series at once; then ``recurrences[family][p]`` extends each series,
-    and the vectors and rows are dropped.
+    ``gram`` names the Gram series (see :mod:`gridcycles.recurrence`).
+    Its terms go to a BM modulo ``PRIMES[0]`` as they come; when 2L + 2
+    terms are in, L the BM order, the Gram series is certified with bound
+    L, and L then bounds every series.  A refuted L means stepping on, and
+    each L is tried once.  The cap is ``size`` = |U|, U the union of the
+    components: U is closed under M and holds every start, so each series
+    satisfies the characteristic polynomial of M on U and 2·|U| terms
+    always certify.  Once certified, ``recurrences[family][p]`` extends
+    each series, and the vectors and rows are dropped.
     """
 
     def __init__(
-        self, rows: list[list[int]], starts: list[int], first: list[list[int]], reads: dict
+        self,
+        rows: list[list[int]],
+        starts: list[int],
+        first: list[list[int]],
+        reads: dict,
+        gram: tuple[str, int],
     ):
         super().__init__()
         self.starts, self.vectors, self.reads = starts, first, reads
@@ -170,12 +187,16 @@ class _VectorEngine(_Engine):
         self.size = len(block_of)
         self.recurrences: dict | None = None
         self.series = {family: [[] for _ in by_p] for family, by_p in reads.items()}
+        self.gram = self.series[gram[0]][gram[1]]
+        self.fit: recurrence.ModularBM | None = recurrence.ModularBM(recurrence.PRIMES[0])
+        self.tried = -1  # the last Gram order tried
         self._record()
 
     def _record(self) -> None:
         for family, reads in self.reads.items():
             for p, store in enumerate(self.series[family]):
                 store.append(sum(v[x] for v, xs in zip(self.vectors, reads[p]) for x in xs))
+        self.fit.add(self.gram[-1])
 
     def _step(self) -> None:
         if self.recurrences is not None:
@@ -190,43 +211,53 @@ class _VectorEngine(_Engine):
                 w[x] = sum(map(v.__getitem__, row))
         self._record()
 
-    def _extend(self, family: str, p: int, terms: int) -> list[int]:
-        if terms > 2 * self.size:
-            self._certify()
-        return super()._extend(family, p, terms)
-
-    def _certify(self) -> None:
-        if self.recurrences is not None:
-            return
-        from .recurrence import certify  # recurrence imports this module
-
-        first = next(iter(self.series.values()))[0]  # all series are equally long
-        while len(first) < 2 * self.size:
+    def _advance(self, terms: float) -> None:
+        """Step the vectors to ``terms`` terms or until the series are
+        certified, whichever comes first."""
+        while self.recurrences is None and len(self.gram) < terms:
             self._step()
-        fits = {}  # equal series share one fit
+            n, order = len(self.gram), self.fit.order
+            if n >= 2 * self.size:
+                self._adopt(self.size, {})
+            elif n >= 2 * order + 2 and order != self.tried:
+                self.tried = order
+                try:
+                    fit = recurrence.certify(self.gram, order)
+                except recurrence.CertificateError:
+                    continue
+                self._adopt(order, {tuple(self.gram): fit})
+
+    def _adopt(self, bound: int, fits: dict) -> None:
+        """Certify every series with ``bound``, then extend them by their
+        recurrences.  ``fits`` maps series already certified to their fits;
+        equal series share one fit."""
         recurrences = {}
         for family, stores in self.series.items():
             recurrences[family] = []
             for store in stores:
                 key = tuple(store)
                 if key not in fits:
-                    fits[key] = certify(store, self.size)
+                    fits[key] = recurrence.certify(store, bound)
                 recurrences[family].append(fits[key])
         self.recurrences = recurrences
-        self.vectors = self.blocks = None
+        self.vectors = self.blocks = self.fit = None
+
+    def _extend(self, family: str, p: int, terms: int) -> list[int]:
+        self._advance(terms)
+        return super()._extend(family, p, terms)
 
     def term(self, family: str, p: int, n: int) -> int:
         with self.lock:
+            self._advance(n)
             store = self.series[family][p]
-            if n <= max(len(store), 2 * self.size):
-                return super().term(family, p, n)
-            self._certify()
+            if n <= len(store):
+                return store[n - 1]
             return self.recurrences[family][p].term(store, n)
 
     def recurrence(self, family: str, p: int):
         """The certified minimal recurrence of one series."""
         with self.lock:
-            self._certify()
+            self._advance(math.inf)
             return self.recurrences[family][p]
 
 
@@ -241,6 +272,10 @@ def _trace_engine(m: int) -> _VectorEngine:
     """
     n_words = 1 << m
     src, outlets = transfer.reduced_arcs(np.arange(n_words), m)
+    # tr(A^n), the Gram series, needs A = Aᵀ: the arcs reversed are the arcs
+    forward = np.sort((src.astype(np.int64) << m) | outlets)
+    if not np.array_equal(forward, np.sort((outlets.astype(np.int64) << m) | src)):
+        raise AssertionError(f"reduced digraph m={m} is not symmetric")
     # the arcs come grouped by inlet, so they split into successor rows
     bounds = np.cumsum(np.bincount(src, minlength=n_words))[:-1]
     rows = [row.tolist() for row in np.split(outlets, bounds)]
@@ -256,17 +291,26 @@ def _trace_engine(m: int) -> _VectorEngine:
         reads["kb"].append([row[:size] for row, size in zip(kb.tolist(), sizes)])
     reps = reps.tolist()
     first = [np.bincount(rows[r], minlength=n_words).tolist() for r in reps]
-    return _VectorEngine(rows, reps, first, reads)
+    return _VectorEngine(rows, reps, first, reads, ("tg", 0))
 
 
 def _tnc_engine(m: int) -> _VectorEngine:
     """Thin-cylinder counts on the glued quotient G: the count is
     G^n[0, 0] = (G^n e_0)[0], with 0^m at index 0, so G's own rows serve
-    although G is not symmetric; the vector starts as column 0 of G."""
-    adj = transfer.build_glued(m).adj
+    although G is not symmetric; the vector starts as column 0 of G.
+
+    The count is its own Gram series: with D the orbit size of each
+    representative, D·G = Gᵀ·D makes S = D^½·G·D^-½ symmetric, and
+    G^n[0, 0] = e_0ᵀ S^n e_0 = <S^i e_0, S^j e_0> for i + j = n."""
+    glued = transfer.build_glued(m)
+    adj = glued.adj
+    reps = [int(w, 2) for w in glued.vertices]
+    orbit_sizes = np.bincount(transfer.dihedral_least(m))[reps]
+    if not transfer.is_symmetric(orbit_sizes[:, None] * adj):
+        raise AssertionError(f"D·G is not symmetric on the glued quotient m={m}")
     index = np.arange(len(adj))
     rows = [np.repeat(index, row).tolist() for row in adj]
-    return _VectorEngine(rows, [0], [adj[:, 0].tolist()], {"tnc": [[[0]]]})
+    return _VectorEngine(rows, [0], [adj[:, 0].tolist()], {"tnc": [[[0]]]}, ("tnc", 0))
 
 
 class _FullWalkEngine(_Engine):

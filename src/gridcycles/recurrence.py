@@ -5,24 +5,33 @@ lemma, a minimal denominator with integer coefficients and constant term 1:
 its minimal recurrence f(n) = c_1 f(n-1) + ... + c_d f(n-d) has integer
 c_k.  Everything after a fit is integer arithmetic.
 
-Two fits:
+One fit, Berlekamp–Massey (BM) over GF(p) for 62-bit primes p, fed one
+term at a time (:class:`ModularBM`); the coefficients are lifted by the
+Chinese remainder theorem with symmetric residues until the lift stops
+changing and regenerates every given term over the integers.  BM mod p
+never returns more than the minimal order over the rationals.  Two uses:
 
-* ``certify(values, bound)`` is the certificate for the engine series.
-  Each of them is a linear read of M^n on a set U of rows closed under M,
-  so by Cayley–Hamilton it satisfies a recurrence of order at most
-  bound = |U|.  Berlekamp–Massey (BM) runs over GF(p) for 62-bit primes,
-  and the coefficients are lifted by the Chinese remainder theorem with
-  symmetric residues until the lift stops changing and regenerates every
-  given term over the integers.  Two recurrences of orders L and L' that
-  agree on L + L' terms agree everywhere, so an integer recurrence of
-  order <= bound that regenerates 2·bound terms holds for every n; and as
-  BM mod p never returns more than the minimal order, it is the minimal
-  one.  :func:`certified_recurrence` hands out the engine's certificate.
-* ``minimal_recurrence(values)`` fits a caller-supplied list by BM over
-  exact rationals (Fraction), so a fit with a non-integral coefficient
-  cannot be the series' minimal recurrence: more terms are needed.  With
-  no bound to lean on, a fit is accepted on at least 2·order + EXTRA_TERMS
-  terms.
+* ``certify(values, bound)`` certifies the engine series, each known to
+  satisfy some recurrence of order at most ``bound``.  Two recurrences of
+  orders L and L' that agree on L + L' terms agree everywhere, so an
+  integer recurrence of order <= bound that regenerates 2·bound terms
+  holds for every n, and it is the minimal one.  The engine
+  (:mod:`gridcycles.counting`) knows a bound in two ways.  |U|, for the
+  rows U it steps, always holds (Cayley–Hamilton).  A Gram certificate
+  gives one earlier.  The engine's Gram series has g(i + j) = <K_i, K_j>
+  for K_j = S^j·x and a symmetric S: the thin cylinder's
+  g(n) = e_0ᵀ S^n e_0 with x = e_0, and the torus' g(n) = tr(A^n) with
+  K_j = A^j under <X, Y> = tr(XᵀY).  So H = [g(i+j)], i, j = 1..L+1, is
+  the Gram matrix of K_1..K_{L+1}.  If an integer recurrence c of order L
+  regenerates g(1..2L+2), then c~ = (-c_L, ..., -c_1, 1) has H·c~ = 0, so
+  |sum_j c~_j K_j|^2 = c~ᵀ H c~ = 0 and q(S)·S·x = 0 for
+  q(t) = t^L - c_1 t^(L-1) - ... - c_L.  Every series read off S^n·x
+  then obeys c, so L bounds each of their orders.
+* ``minimal_recurrence(values)`` fits a caller-supplied list with no
+  bound to lean on.  A lift that never regenerates means the fit over the
+  rationals has a non-integral coefficient, so it cannot be the series'
+  minimal recurrence (Fatou) and more terms are needed; an integral fit
+  is accepted on at least 2·order + EXTRA_TERMS terms.
 
 A recurrence extends its series one term at a time (``Recurrence.next``),
 or reads a single far term in O(order² log n) big-int products
@@ -35,10 +44,7 @@ Series are indexed from n = 1 (value lists as produced by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
-
-from . import counting
 
 EXTRA_TERMS = 4  # minimal_recurrence accepts order d on 2·d + EXTRA_TERMS terms
 # the primes of the modular fits, 2^62 - d for each d; a fit takes one more
@@ -120,55 +126,39 @@ class RationalGF:
         }
 
 
-def _berlekamp_massey(seq: list[Fraction]) -> list[Fraction]:
-    """Connection coefficients c_1..c_L of the shortest LFSR generating the
-    whole sequence: seq[i] = sum_k c_k * seq[i-k] for i >= L."""
-    cur: list[Fraction] = []  # c_1..c_L
-    last: list[Fraction] = []  # cur as of the last length change
-    fail_idx = 0
-    fail_delta = Fraction(0)
-    for i, s in enumerate(seq):
-        delta = s - sum(c * seq[i - 1 - k] for k, c in enumerate(cur))
-        if delta == 0:
-            continue
-        if not cur:
-            cur = [Fraction(0)] * (i + 1)
-            fail_idx, fail_delta = i, delta
-            continue
-        factor = delta / fail_delta
-        fix = [Fraction(0)] * (i - fail_idx - 1) + [factor] + [-factor * c for c in last]
-        if len(fix) < len(cur):
-            fix += [Fraction(0)] * (len(cur) - len(fix))
-        grows = i - fail_idx + len(last) >= len(cur)
-        if grows:
-            last, fail_idx, fail_delta = list(cur), i, delta
-        cur = [a + b for a, b in zip(fix, cur + [Fraction(0)] * (len(fix) - len(cur)))]
-    return cur
+class ModularBM:
+    """Berlekamp–Massey over GF(p), fed one term at a time at O(order)
+    operations per term: after each term, ``order`` and :meth:`coeffs`
+    describe the shortest LFSR of the terms so far, reduced mod p."""
 
+    def __init__(self, p: int):
+        self.p = p
+        self.terms: list[int] = []  # the terms mod p
+        self.cur = [1]  # 1 - c_1 x - ... - c_L x^L
+        self.last = [1]  # cur as of the last length change
+        self.order, self.shift, self.last_delta = 0, 1, 1
 
-def _berlekamp_massey_mod(seq: list[int], p: int) -> list[int]:
-    """Connection coefficients c_1..c_L, reduced mod the prime p, of the
-    shortest LFSR generating seq mod p."""
-    s = [v % p for v in seq]
-    cur = [1]  # 1 - c_1 x - ... - c_L x^L
-    last = [1]  # cur as of the last length change
-    order, shift, last_delta = 0, 1, 1
-    for i in range(len(s)):
-        delta = sum(map(mul, cur[1 : order + 1], reversed(s[i - order : i]))) + s[i]
-        delta %= p
+    def add(self, value: int) -> None:
+        p, s, cur, order = self.p, self.terms, self.cur, self.order
+        s.append(value % p)
+        i = len(s) - 1
+        delta = (s[i] + sum(map(mul, cur[1 : order + 1], reversed(s[i - order : i])))) % p
         if delta == 0:
-            shift += 1
-            continue
-        factor = delta * pow(last_delta, -1, p) % p
-        new = cur + [0] * (len(last) + shift - len(cur))
-        for k, c in enumerate(last, start=shift):
+            self.shift += 1
+            return
+        factor = delta * pow(self.last_delta, -1, p) % p
+        new = cur + [0] * (len(self.last) + self.shift - len(cur))
+        for k, c in enumerate(self.last, start=self.shift):
             new[k] = (new[k] - factor * c) % p
         if 2 * order <= i:
-            last, order, last_delta, shift = cur, i + 1 - order, delta, 1
+            self.last, self.order, self.last_delta, self.shift = cur, i + 1 - order, delta, 1
         else:
-            shift += 1
-        cur = new + [0] * (order + 1 - len(new))
-    return [-c % p for c in cur[1 : order + 1]]
+            self.shift += 1
+        self.cur = new + [0] * (self.order + 1 - len(new))
+
+    def coeffs(self) -> list[int]:
+        """Connection coefficients c_1..c_L mod p."""
+        return [-c % self.p for c in self.cur[1 : self.order + 1]]
 
 
 def _regenerates(values: list[int], coeffs: list[int]) -> bool:
@@ -179,22 +169,20 @@ def _regenerates(values: list[int], coeffs: list[int]) -> bool:
     )
 
 
-def certify(values: list[int], bound: int) -> Recurrence:
-    """The minimal recurrence of an integer series that satisfies some
-    recurrence of order at most ``bound``, from at least 2·bound of its
-    terms (see the module docstring for the argument).
+def _lift(values: list[int], bound: int) -> Recurrence | None:
+    """The integer recurrence that BM finds modulo the primes of PRIMES, or
+    None when the primes run out before its lift regenerates every term.
 
-    BM runs mod each prime of PRIMES in turn.  A prime under which the
-    order falls below the largest seen reduces the series degenerately and
-    is dropped; an order above ``bound`` refutes the bound at once.  Raises
-    CertificateError when the primes run out before the lift regenerates
-    every term, which also refutes the bound.
+    A prime under which the order falls below the largest seen reduces the
+    series degenerately and is dropped; an order above ``bound`` raises
+    CertificateError at once.
     """
-    if len(values) < 2 * bound:
-        raise ValueError(f"certifying order <= {bound} needs {2 * bound} terms, got {len(values)}")
     order, lift, modulus, previous = -1, [], 1, None
     for p in PRIMES:
-        fit = _berlekamp_massey_mod(values, p)
+        bm = ModularBM(p)
+        for v in values:
+            bm.add(v)
+        fit = bm.coeffs()
         if len(fit) > bound:
             raise CertificateError(f"order {len(fit)} mod {p} exceeds the bound {bound}")
         if len(fit) < order:
@@ -210,36 +198,50 @@ def certify(values: list[int], bound: int) -> Recurrence:
         if coeffs == previous and _regenerates(values, coeffs):
             return Recurrence(order, coeffs)
         previous = coeffs
-    raise CertificateError(
-        f"no integer recurrence of order <= {bound} regenerates the {len(values)} terms "
-        f"within {len(PRIMES)} primes"
-    )
+    return None
+
+
+def certify(values: list[int], bound: int) -> Recurrence:
+    """The minimal recurrence of an integer series that satisfies some
+    recurrence of order at most ``bound``, from at least 2·bound of its
+    terms (see the module docstring for the argument).
+
+    Raises CertificateError when an order mod some prime exceeds ``bound``
+    or the primes run out before the lift regenerates every term: either
+    refutes the bound.
+    """
+    if len(values) < 2 * bound:
+        raise ValueError(f"certifying order <= {bound} needs {2 * bound} terms, got {len(values)}")
+    rec = _lift(values, bound)
+    if rec is None:
+        raise CertificateError(
+            f"no integer recurrence of order <= {bound} regenerates the {len(values)} terms "
+            f"within {len(PRIMES)} primes"
+        )
+    return rec
 
 
 def minimal_recurrence(values: list[int]) -> Recurrence:
     """Shortest linear recurrence consistent with every provided term.
 
-    Raises SeriesTooShort when the fit has a non-integral coefficient or
+    Raises SeriesTooShort when no integral fit regenerates the terms or
     fewer than 2*order + EXTRA_TERMS terms are available: either way the
     fit is not evidence of the true minimal recurrence.
     """
     if not values:
         raise SeriesTooShort("empty series")
-    fit = _berlekamp_massey([Fraction(v) for v in values])
-    order = len(fit)
-    if any(c.denominator != 1 for c in fit):
+    rec = _lift(values, len(values))
+    if rec is None:
         raise SeriesTooShort(
-            f"{len(values)} terms fit only a non-integral recurrence of order {order}"
+            f"{len(values)} terms fit only a non-integral recurrence: no integer lift "
+            f"regenerates them within {len(PRIMES)} primes"
         )
-    if len(values) < 2 * order + EXTRA_TERMS:
+    if len(values) < 2 * rec.order + EXTRA_TERMS:
         raise SeriesTooShort(
-            f"{len(values)} terms cannot confirm a recurrence of order {order}; "
-            f"need {2 * order + EXTRA_TERMS}"
+            f"{len(values)} terms cannot confirm a recurrence of order {rec.order}; "
+            f"need {2 * rec.order + EXTRA_TERMS}"
         )
-    coeffs = [c.numerator for c in fit]
-    if not _regenerates(values, coeffs):
-        raise AssertionError("recurrence fit failed to re-generate its input")
-    return Recurrence(order, coeffs)
+    return rec
 
 
 def to_generating_function(values: list[int], rec: Recurrence) -> RationalGF:
@@ -275,8 +277,10 @@ def expand(gf: RationalGF, terms: int) -> list[int]:
 
 def certified_recurrence(family: str, m: int, p: int) -> Recurrence:
     """The certified minimal recurrence of a production count series: its
-    engine steps to 2·|U| terms, certifies every series it holds and
-    continues from their recurrences."""
+    engine steps until its Gram certificate holds (at most 2·|U| terms),
+    certifies every series it holds and continues from their recurrences."""
+    from . import counting  # counting's engines certify through this module
+
     spec = counting.GridSpec(family, m, p)
     return counting._route(spec.family, m, "reduced").recurrence(spec.family, spec.p)
 

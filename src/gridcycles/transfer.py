@@ -165,10 +165,12 @@ def reduced_arcs(inlets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     The chain starts from s_0 in {0, 1}; s_{j+1} is forced to 1 - u_j where
     s_j = u_j and free otherwise, and s_m = s_0 closes the circle.
 
-    Returns int64 arrays ``(src, outlets)``, one entry per arc, grouped by
-    inlet in the order given.  Words carry row j in bit m-1-j.
+    Returns int32 arrays ``(src, outlets)``, one entry per arc, grouped by
+    inlet in the order given: the words are below 2^m, and int32 keeps the
+    chain's temporaries at half the size.  Words carry row j in bit m-1-j;
+    widen before shifting a word by m or more bits.
     """
-    u = np.repeat(np.asarray(inlets, dtype=np.int64), 2)
+    u = np.repeat(np.asarray(inlets, dtype=np.int32), 2)
     s = s0 = np.tile(np.array([0, 1], dtype=np.int8), len(u) // 2)
     w = np.zeros_like(u)
     for j in range(m - 1):
@@ -196,6 +198,26 @@ def reverse_words(words: np.ndarray, m: int) -> np.ndarray:
     for j in range(m):
         out |= ((words >> j) & 1) << (m - 1 - j)
     return out
+
+
+def dihedral_least(m: int) -> np.ndarray:
+    """The least word of each width-m word's orbit under rotation and
+    reversal, indexed by the word (int64)."""
+    words = np.arange(1 << m, dtype=np.int64)
+    least = words.copy()
+    for x in (words, reverse_words(words, m)):
+        for k in range(m):
+            np.minimum(least, rotate_words(x, k, m), out=least)
+    return least
+
+
+def is_symmetric(a: np.ndarray) -> bool:
+    """a == aᵀ exactly, compared a block of rows at a time so that no
+    boolean temporary of a's full size is formed."""
+    step = max(1, (1 << 20) // max(len(a), 1))
+    return all(
+        np.array_equal(a[i : i + step], a[:, i : i + step].T) for i in range(0, len(a), step)
+    )
 
 
 def build_reduced(m: int) -> TransferDigraph:
@@ -231,19 +253,15 @@ def build_glued(m: int) -> TransferDigraph:
     if m > GLUED_LIMIT:
         raise ResourceLimitError(f"glued quotient limited to m <= {GLUED_LIMIT}, got {m}")
     size, mask = 1 << m, (1 << m) - 1
-    words = np.arange(size, dtype=np.int64)
-    least = words.copy()  # least word of each word's dihedral orbit
-    for x in (words, reverse_words(words, m)):
-        for k in range(m):
-            np.minimum(least, rotate_words(x, k, m), out=least)
+    least = dihedral_least(m)
     seen = np.zeros(size, dtype=bool)
     seen[0] = True
-    frontier = words[:1]
+    frontier = least[:1]
     pairs, mults = [], []
     while len(frontier):
         src, outlets = reduced_arcs(frontier, m)
         target = least[outlets]
-        pair, mult = np.unique((src << m) | target, return_counts=True)
+        pair, mult = np.unique((src.astype(np.int64) << m) | target, return_counts=True)
         pairs.append(pair)
         mults.append(mult)
         frontier = np.unique(target[~seen[target]])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridcycles import alphabet as al
 from gridcycles import counting as ct
+from gridcycles import recurrence as rc
 from gridcycles import refdata
 from gridcycles import transfer as tr
 from gridcycles.counting import GridSpec
@@ -371,15 +372,18 @@ def _power_count(family, m, p, n):
     )
 )
 def test_count_on_a_fresh_engine_matches_full_route_and_powers(case):
-    # below 2·|U| the fresh engine steps; past it, it certifies and reads
-    # the one term off the recurrence, caching no term past 2·|U|
+    # the fresh engine steps its vectors until its Gram series (order L)
+    # certifies at 2L + 2 terms, or to the cap 2·|U|; a count past those
+    # reads the one term off the recurrence and caches nothing past them
     family, m, p, n = case
     engine = ct._tnc_engine(m) if family == "tnc" else ct._trace_engine(m)
     value = engine.term(family, p, n)
     assert value == ct.count(GridSpec(family, m, p, n), method="full")
     assert value == _power_count(family, m, p, n)
-    assert len(engine.series[family][p]) <= 2 * engine.size
-    assert (engine.recurrences is not None) == (n > 2 * engine.size)
+    gram = rc.order_report("tnc" if family == "tnc" else "tg", m, 0)
+    stepped = min(2 * gram + 2, 2 * engine.size)
+    assert len(engine.series[family][p]) == min(n, stepped)
+    assert (engine.recurrences is not None) == (n >= stepped)
 
 
 # numerator and denominator of the thin-cylinder generating functions
@@ -411,16 +415,44 @@ def test_long_count_reads_the_recurrence(m, monkeypatch):
 
 
 def test_certification_drops_vectors_and_keeps_the_series(monkeypatch):
+    # tg(n, 0) has order 8 at m = 4: the engine certifies at its 18th term
     monkeypatch.setattr(ct, "_ENGINES", {})
     monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
-    before = {p: ct.series(GridSpec("kb", 4, p), 32).values for p in range(4)}
+    before = {p: ct.series(GridSpec("kb", 4, p), 17).values for p in range(4)}
     engine = ct._ENGINES["trace", 4]
-    assert engine.size == 16 and engine.recurrences is None
+    assert engine.size == 16 and engine.recurrences is None and engine.vectors is not None
     after = {p: ct.series(GridSpec("kb", 4, p), 80).values for p in range(4)}
-    assert engine.vectors is None
+    assert engine.vectors is None and engine.recurrences is not None
     for p in range(4):
-        assert after[p][:32] == before[p]
+        assert after[p][:17] == before[p]
         assert after[p] == ct.series(GridSpec("kb", 4, p), 80, method="full").values
+
+
+@pytest.mark.parametrize(
+    "family,m", [("tnc", m) for m in range(2, 14)] + [("tg", m) for m in range(2, 8)]
+)
+def test_engine_steps_to_the_gram_certificate(family, m):
+    # 2L + 2 stepped terms certify the Gram series of order L; 2·|U| caps
+    engine = ct._tnc_engine(m) if family == "tnc" else ct._trace_engine(m)
+    order = engine.recurrence(family, 0).order
+    assert len(engine.series[family][0]) == min(2 * order + 2, 2 * engine.size)
+    assert engine.vectors is None
+
+
+def test_engine_refuses_a_non_symmetrisable_quotient(monkeypatch):
+    # D·G = Gᵀ·D fails for G = [[1, 1], [0, 1]] and any orbit sizes D
+    g = tr.TransferDigraph("glued", 3, ("000", "001"), np.array([[1, 1], [0, 1]]))
+    monkeypatch.setattr(tr, "build_glued", lambda m: g)
+    with pytest.raises(AssertionError, match="not symmetric"):
+        ct._tnc_engine(3)
+
+
+def test_engine_refuses_an_asymmetric_reduced_digraph(monkeypatch):
+    # one arc dropped from the reduced digraph breaks A = Aᵀ
+    real = tr.reduced_arcs
+    monkeypatch.setattr(tr, "reduced_arcs", lambda inlets, m: tuple(a[1:] for a in real(inlets, m)))
+    with pytest.raises(AssertionError, match="not symmetric"):
+        ct._trace_engine(4)
 
 
 def test_full_route_never_reads_a_recurrence():

@@ -151,15 +151,61 @@ recurrences = st.integers(1, 5).flatmap(
 )
 
 
+def _fraction_bm(seq: list[Fraction]) -> list[Fraction]:
+    """Reference Berlekamp–Massey over the rationals: connection
+    coefficients c_1..c_L of the shortest LFSR generating the whole
+    sequence, seq[i] = sum_k c_k * seq[i-k] for i >= L."""
+    cur: list[Fraction] = []  # c_1..c_L
+    last: list[Fraction] = []  # cur as of the last length change
+    fail_idx = 0
+    fail_delta = Fraction(0)
+    for i, s in enumerate(seq):
+        delta = s - sum(c * seq[i - 1 - k] for k, c in enumerate(cur))
+        if delta == 0:
+            continue
+        if not cur:
+            cur = [Fraction(0)] * (i + 1)
+            fail_idx, fail_delta = i, delta
+            continue
+        factor = delta / fail_delta
+        fix = [Fraction(0)] * (i - fail_idx - 1) + [factor] + [-factor * c for c in last]
+        if len(fix) < len(cur):
+            fix += [Fraction(0)] * (len(cur) - len(fix))
+        grows = i - fail_idx + len(last) >= len(cur)
+        if grows:
+            last, fail_idx, fail_delta = list(cur), i, delta
+        cur = [a + b for a, b in zip(fix, cur + [Fraction(0)] * (len(fix) - len(cur)))]
+    return cur
+
+
 @settings(max_examples=40)
 @given(recurrences, st.sampled_from(rc.PRIMES[:3]))
 def test_modular_bm_agrees_with_fraction_bm(case, p):
+    # fed one term at a time, the modular fit of every prefix has the
+    # rational order, and the rational coefficients reduced mod p wherever
+    # the prefix pins them down (2·order terms)
     coeffs, init = case
     seq = _generated(coeffs, init, 2 * len(coeffs) + 6)
-    exact = rc._berlekamp_massey([Fraction(v) for v in seq])
-    assert rc._berlekamp_massey_mod(seq, p) == [
-        c.numerator * pow(c.denominator, -1, p) % p for c in exact
-    ]
+    bm = rc.ModularBM(p)
+    for i, v in enumerate(seq, start=1):
+        bm.add(v)
+        exact = _fraction_bm([Fraction(x) for x in seq[:i]])
+        assert bm.order == len(exact)
+        if 2 * bm.order <= i:
+            assert bm.coeffs() == [c.numerator * pow(c.denominator, -1, p) % p for c in exact]
+
+
+@settings(max_examples=40)
+@given(recurrences, st.integers(0, 4))
+def test_minimal_recurrence_agrees_with_fraction_bm(case, extra):
+    # the modular fit and its lift give the rational fit wherever that is
+    # integral and confirmed by EXTRA_TERMS more terms
+    coeffs, init = case
+    seq = _generated(coeffs, init, 2 * len(coeffs) + rc.EXTRA_TERMS + extra)
+    exact = _fraction_bm([Fraction(v) for v in seq])
+    assert all(c.denominator == 1 for c in exact)
+    rec = rc.minimal_recurrence(seq)
+    assert rec.coeffs == [c.numerator for c in exact]
 
 
 @settings(max_examples=40)
@@ -207,7 +253,7 @@ def test_engine_refuses_an_understated_size(m, monkeypatch):
 
 def test_certified_orders_match_the_tables():
     tab = refdata.tables()
-    for m in range(2, 12):
+    for m in range(2, 14):
         assert rc.certified_recurrence("tnc", m, 0).order == tab["orders_tnc"][str(m)], m
     for m in range(2, 6):
         got = [rc.certified_recurrence("tg", m, p).order for p in range(m)]

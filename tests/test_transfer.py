@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -298,6 +299,21 @@ def test_glued_is_balanced_by_orbit_sizes(m):
     a = g.adj.astype(float)
     r = np.sqrt(d)
     assert np.allclose(np.sqrt(a * a.T), r[:, None] * a / r[None, :], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("m", range(11, 18))
+def test_glued_invariants_past_the_dense_census(m):
+    # D·G = Gᵀ·D for D the dihedral orbit sizes, each row of G sums to its
+    # representative's out-degree, and the size is the shipped one
+    g = tr.build_glued(m)
+    reps = [int(w, 2) for w in g.vertices]
+    d = np.array(
+        [len({al.rotate(x, k) for x in (w, w[::-1]) for k in range(m)}) for w in g.vertices]
+    )
+    assert np.array_equal(d[:, None] * g.adj, (d[:, None] * g.adj).T)
+    out_degree = Counter(tr.reduced_arcs(np.array(reps), m)[0].tolist())
+    assert g.adj.sum(axis=1).tolist() == [out_degree[r] for r in reps]
+    assert len(g) == refdata.tables()["glued_vertices"][str(m)]
 
 
 def test_glued_sizes_up_to_the_limit():
