@@ -256,7 +256,7 @@ def build_glued(m: int) -> TransferDigraph:
     least = dihedral_least(m)
     seen = np.zeros(size, dtype=bool)
     seen[0] = True
-    frontier = least[:1]
+    frontier = np.zeros(1, dtype=np.int64)  # 0^m
     pairs, mults = [], []
     while len(frontier):
         src, outlets = reduced_arcs(frontier, m)

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,3 +272,23 @@ def test_far_term_equals_stepping_the_recurrence(m):
     for n in (1, rec.order, rec.order + 1, 64, 199, 200):
         assert rec.term(values, n) == values[n - 1]
     assert rc.Recurrence(0, []).term([], 7) == 0
+
+
+def test_derived_orders_match_the_tables_and_recompute():
+    # the shipped derived orders agree with tables.json where both hold a
+    # row, and the m = 6, 7 torus and Klein rows are certified again here
+    derived = json.loads((files("gridcycles") / "data" / "derived_orders.json").read_text())
+    assert set(derived["provenance"]) == {"command", "commit"}
+    tab = refdata.tables()
+    overlap = 0
+    for family in ("tnc", "tg", "kb"):
+        for m, row in derived[f"orders_{family}"].items():
+            if m in tab[f"orders_{family}"]:
+                expected = tab[f"orders_{family}"][m]
+                assert row == ([expected] * int(m) if family == "kb" else expected), (family, m)
+                overlap += 1
+    assert overlap >= 1
+    for m in (6, 7):
+        for family in ("tg", "kb"):
+            got = [rc.order_report(family, m, p) for p in range(m)]
+            assert derived[f"orders_{family}"][str(m)] == got, (family, m)
