@@ -29,7 +29,7 @@ from .counting import (
     verify_route_agreement,
     zero_component_spectrum,
 )
-from .exactmat import Spectrum, amplitude_estimate, dominant_eigenvalue
+from .exactmat import Spectrum, amplitude_estimate
 from .oracle import Multigraph, build_grid, count_grid, count_two_factors
 from .recurrence import (
     RationalGF,

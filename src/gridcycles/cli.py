@@ -451,7 +451,7 @@ def cmd_digraph(args) -> int:
         stats["zero_component"] = census.sizes[census.zero_id]
         stats["ones_component"] = census.sizes[census.ones_id]
     if args.kind == "reduced":
-        spectra = counting.component_spectra(d, census, tol=1e-10)
+        spectra = counting.component_spectra(d, census)
         thetas = [s.theta for s in spectra]
         # the observed (unproven) coincidence: the whole digraph's spectral
         # radius against the 1^m component's; both reported, never assumed

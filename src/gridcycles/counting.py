@@ -39,6 +39,12 @@ terms is read off the recurrence in O(order² log n) big-int products,
 without caching the terms in between.  Each engine is built under its own
 lock and carries another for its steps, so distinct widths can be built
 and driven from different threads at once.
+
+Every Perron root (the growth rate θ of the thin cylinder, and the
+dominant eigenvalue of each reduced-digraph component) is read off one
+glued quotient G: it is the greatest eigenvalue of the symmetric
+S = D^½·G·D^-½, from ``numpy.linalg.eigvalsh``.  There is no iteration,
+tolerance or convergence failure.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from .alphabet import (
     outlet,
     rotate,
 )
-from .exactmat import Spectrum, dominant_eigenvalue
+from .exactmat import Spectrum
 from .transfer import ResourceLimitError
 
 FAMILIES = ("tnc", "tg", "kb")
@@ -300,14 +306,10 @@ def _tnc_engine(m: int) -> _VectorEngine:
     although G is not symmetric; the vector starts as column 0 of G.
 
     The count is its own Gram series: with D the orbit size of each
-    representative, D·G = Gᵀ·D makes S = D^½·G·D^-½ symmetric, and
+    representative, D·G = Gᵀ·D (checked by :func:`transfer.build_glued`)
+    makes S = D^½·G·D^-½ symmetric, and
     G^n[0, 0] = e_0ᵀ S^n e_0 = <S^i e_0, S^j e_0> for i + j = n."""
-    glued = transfer.build_glued(m)
-    adj = glued.adj
-    reps = [int(w, 2) for w in glued.vertices]
-    orbit_sizes = np.bincount(transfer.dihedral_least(m))[reps]
-    if not transfer.is_symmetric(orbit_sizes[:, None] * adj):
-        raise AssertionError(f"D·G is not symmetric on the glued quotient m={m}")
+    adj = transfer.build_glued(m).adj
     index = np.arange(len(adj))
     rows = [np.repeat(index, row).tolist() for row in adj]
     return _VectorEngine(rows, [0], [adj[:, 0].tolist()], {"tnc": [[[0]]]}, ("tnc", 0))
@@ -464,26 +466,43 @@ def verify_route_agreement(m: int, p: int, n: int) -> bool:
     )
 
 
-def zero_component_spectrum(m: int, tol: float = 1e-12) -> Spectrum:
+def _perron_root(glued: transfer.TransferDigraph) -> Spectrum:
+    """The Perron root of a glued quotient G: the greatest eigenvalue of
+    the symmetric S = D^½·G·D^-½, whose entries are sqrt(G_ij·G_ji) (D·G =
+    Gᵀ·D is checked when G is built).  S is similar to G, and for a
+    nonnegative symmetric matrix the greatest eigenvalue is the spectral
+    radius, periodic components included."""
+    g = glued.adj.astype(float)
+    return Spectrum(float(np.linalg.eigvalsh(np.sqrt(g * g.T))[-1]))
+
+
+def zero_component_spectrum(m: int) -> Spectrum:
     """Dominant eigenvalue of the reduced-digraph component containing 0^m
     (the growth rate of the thin-cylinder counts), computed on its glued
-    quotient G, which keeps the Perron root.  D·G = Gᵀ·D for D the orbit
-    sizes, so the power iteration runs on the symmetric D^½·G·D^-½, whose
-    entries are sqrt(G_ij·G_ji)."""
-    g = transfer.build_glued(m).adj.astype(float)
-    return dominant_eigenvalue(np.sqrt(g * g.T), tol=tol)
+    quotient, which keeps the Perron root."""
+    return _perron_root(transfer.build_glued(m))
 
 
 def component_spectra(
-    d: transfer.TransferDigraph, census: transfer.ComponentCensus, tol: float = 1e-12
+    d: transfer.TransferDigraph, census: transfer.ComponentCensus
 ) -> list[Spectrum]:
     """Dominant eigenvalue of every component of a reduced digraph, in the
-    order of its census.  Exposed so the (observed, unproven) agreement
-    between the whole digraph's spectral radius and its 1^m component can be
-    inspected rather than assumed."""
-    return [
-        dominant_eigenvalue(
-            transfer.component_subdigraph(d, census, comp).adj.astype(float), tol=tol
-        )
-        for comp in range(census.n_components)
-    ]
+    order of its census, each computed on the glued quotient walked from
+    the component's least member.  That walk covers the component alone
+    only if rotation and reversal map the component to itself, so the
+    orbit sizes of each quotient must sum to the component's size; a
+    mismatch raises.  Exposed so the (observed, unproven) agreement between the whole
+    digraph's spectral radius and its 1^m component can be inspected rather
+    than assumed."""
+    orbit_sizes = np.bincount(transfer.dihedral_least(d.m))
+    spectra = []
+    for comp in range(census.n_components):
+        glued = transfer.build_glued(d.m, int(d.vertices[census.members(comp)[0]], 2))
+        covered = int(orbit_sizes[[int(w, 2) for w in glued.vertices]].sum())
+        if covered != census.sizes[comp]:
+            raise AssertionError(
+                f"the orbits of component {comp} (m={d.m}) hold {covered} words, "
+                f"not its {census.sizes[comp]}"
+            )
+        spectra.append(_perron_root(glued))
+    return spectra

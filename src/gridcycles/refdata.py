@@ -16,7 +16,7 @@ import re
 from functools import lru_cache
 from importlib.resources import files
 
-_SERIES_NAME = re.compile(r"(tnc|tg|kb)_m(\d+)_p(\d+)\.bfile$")
+_SERIES_NAME = re.compile(r"(tnc|tg|kb)_m(\d+)_p(\d+)\.bfile")
 
 
 class RefDataError(RuntimeError):
@@ -59,13 +59,19 @@ def tables() -> dict:
 
 @lru_cache(maxsize=1)
 def series_keys() -> tuple[tuple[str, int, int], ...]:
-    """All (family, m, p) triples with a shipped reference series."""
+    """All (family, m, p) triples with a shipped reference series.  Each
+    file name must be exactly ``<family>_m<m>_p<p>.bfile``, and no two files
+    may name one triple: only the file spelled as :func:`reference_series`
+    spells it would ever be read."""
     keys = []
     for entry in (_data_root() / "series").iterdir():
-        match = _SERIES_NAME.search(entry.name)
+        match = _SERIES_NAME.fullmatch(entry.name)
         if not match:
             raise RefDataError(f"unexpected file in series data: {entry.name}")
-        keys.append((match.group(1), int(match.group(2)), int(match.group(3))))
+        key = (match.group(1), int(match.group(2)), int(match.group(3)))
+        if key in keys:
+            raise RefDataError(f"two files in series data name {key}: {entry.name}")
+        keys.append(key)
     if not keys:
         raise RefDataError("no reference series found")
     return tuple(sorted(keys))

@@ -7,10 +7,11 @@ Three digraph granularities drive the counting routes:
 * ``reduced`` — vertices are all 2^m binary words; the arc u -> w carries
   the number of column words with inlet u and outlet w (0, 1 or 2).  The
   matrix is symmetric and its entries sum to 3^m + (-1)^m.
-* ``glued``   — vertices are the orbits of the all-zero component of the
-  reduced digraph under rotation and reversal, reached by one walk over
-  orbit representatives without the dense matrix; sufficient for the
-  thin-cylinder count and its growth rate.
+* ``glued``   — vertices are the orbits of one component of the reduced
+  digraph (the all-zero one by default) under rotation and reversal,
+  reached by one walk over orbit representatives without the dense
+  matrix; sufficient for the thin-cylinder count and for every Perron
+  root.
 
 Every reduced arc comes from :func:`reduced_arcs`; the full digraph and
 :func:`gridcycles.alphabet.count_io_words` are the independent references.
@@ -230,33 +231,41 @@ def build_reduced(m: int) -> TransferDigraph:
         )
     size = 1 << m
     adj = np.zeros((size, size), dtype=np.uint8)
-    np.add.at(adj, reduced_arcs(np.arange(size), m), 1)
+    # 256 inlets at a time: the arc chain's temporaries stay small next to
+    # the matrix (all 2^m at once add about 25 MB to the peak at m = 12)
+    for start in range(0, size, 256):
+        np.add.at(adj, reduced_arcs(np.arange(start, min(start + 256, size)), m), 1)
     vertices = tuple(format(i, f"0{m}b") for i in range(size))
     return TransferDigraph("reduced", m, vertices, adj)
 
 
-def build_glued(m: int) -> TransferDigraph:
-    """The 0^m component of the reduced digraph folded along rotation and
-    reversal orbits, each orbit named by its least word.
+def build_glued(m: int, root: int = 0) -> TransferDigraph:
+    """The component of the reduced digraph that holds the word ``root``
+    (0^m by default), folded along rotation and reversal orbits, each orbit
+    named by its least word.
 
-    A breadth-first walk from 0^m over orbit representatives: the arcs out
-    of each frontier are generated once, their outlets mapped to the least
-    word of their orbit, and the (source, target) pairs counted.  A
-    commutes with rotation and reversal, so the walk reaches exactly the
-    orbits of the component, and the orbit partition is equitable: the
-    quotient keeps the component's Perron root.
+    A breadth-first walk from the orbit of ``root`` over orbit
+    representatives: the arcs out of each frontier are generated once,
+    their outlets mapped to the least word of their orbit, and the
+    (source, target) pairs counted.  A commutes with rotation and reversal,
+    so the walk reaches exactly the orbits that meet the component, and the
+    orbit partition is equitable: the quotient G keeps the Perron root.
+    A = Aᵀ makes D·G = Gᵀ·D for D the orbit sizes; that is checked exactly,
+    so S = D^½·G·D^-½, whose entries are sqrt(G_ij·G_ji), is symmetric and
+    similar to G.
 
-    Vertex order: orbit of 0^m, then orbit of 1^m when present, then the
-    remaining orbits by their least member.
+    Vertex order: orbit of ``root``, then orbit of 1^m when present, then
+    the remaining orbits by their least member.
     """
     _check_width(m)
     if m > GLUED_LIMIT:
         raise ResourceLimitError(f"glued quotient limited to m <= {GLUED_LIMIT}, got {m}")
     size, mask = 1 << m, (1 << m) - 1
     least = dihedral_least(m)
+    start = int(least[root])
     seen = np.zeros(size, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)  # 0^m
+    seen[start] = True
+    frontier = np.array([start], dtype=np.int64)
     pairs, mults = [], []
     while len(frontier):
         src, outlets = reduced_arcs(frontier, m)
@@ -266,12 +275,15 @@ def build_glued(m: int) -> TransferDigraph:
         mults.append(mult)
         frontier = np.unique(target[~seen[target]])
         seen[frontier] = True
-    reps = sorted(np.flatnonzero(seen).tolist(), key=lambda r: (r != 0, r != mask, r))
+    reps = sorted(np.flatnonzero(seen).tolist(), key=lambda r: (r != start, r != mask, r))
     index = np.zeros(size, dtype=np.int64)
     index[reps] = np.arange(len(reps))
     pair = np.concatenate(pairs)
     adj = np.zeros((len(reps), len(reps)), dtype=np.int64)
     adj[index[pair >> m], index[pair & mask]] = np.concatenate(mults)
+    orbit_sizes = np.bincount(least)[reps]
+    if not is_symmetric(orbit_sizes[:, None] * adj):
+        raise AssertionError(f"D·G is not symmetric on the glued quotient m={m} root={root}")
     return TransferDigraph("glued", m, tuple(format(r, f"0{m}b") for r in reps), adj)
 
 

@@ -161,6 +161,21 @@ def test_refdata_is_complete():
     assert tab["orders_tnc"]["8"] == 10
 
 
+@pytest.mark.parametrize("stray", ["old_tnc_m2_p0.bfile", "tnc_m02_p0.bfile", "tnc_m2_p0.bfile.bak"])
+def test_refdata_refuses_stray_series_names(monkeypatch, tmp_path, stray):
+    # a stray name must not pass as a (second) key whose file is never read
+    (tmp_path / "series").mkdir()
+    for name in ("tnc_m2_p0.bfile", stray):
+        (tmp_path / "series" / name).write_text("")
+    monkeypatch.setattr(refdata, "_data_root", lambda: tmp_path)
+    refdata.series_keys.cache_clear()
+    try:
+        with pytest.raises(refdata.RefDataError):
+            refdata.series_keys()
+    finally:
+        refdata.series_keys.cache_clear()
+
+
 def test_refdata_fails_loudly(monkeypatch, tmp_path):
     (tmp_path / "series").mkdir()
     (tmp_path / "series" / "tnc_m2_p0.bfile").write_text("1 1\n3 5\n")

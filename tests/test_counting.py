@@ -316,6 +316,36 @@ def test_zero_component_spectrum():
     assert max(s.theta for s in spectra) == pytest.approx(6.372281323269014, abs=1e-9)
 
 
+@pytest.mark.parametrize("m", range(2, 13))
+def test_component_spectra_match_dense_eigensolves(m):
+    # reference: the greatest eigenvalue of each dense symmetric component,
+    # periodic ones (m = 2 has [[0, 2], [2, 0]]) included
+    d = tr.build_reduced(m)
+    census = tr.components(d)
+    spectra = ct.component_spectra(d, census)
+    assert len(spectra) == census.n_components
+    for comp, s in enumerate(spectra):
+        a = tr.component_subdigraph(d, census, comp).adj.astype(float)
+        expected = np.linalg.eigvalsh(a)[-1]
+        assert abs(s.theta - expected) <= 1e-12 * expected
+
+
+def test_component_spectra_refuse_a_component_its_orbits_miss():
+    # a census whose component sizes disagree with the orbit walk
+    d = tr.build_reduced(3)
+    census = tr.components(d)
+    census.sizes[0] += 1
+    with pytest.raises(AssertionError, match="orbits of component 0"):
+        ct.component_spectra(d, census)
+
+
+def test_spectrum_at_the_glued_limit():
+    # the Perron root lies between the least and greatest row sums of G
+    m = tr.GLUED_LIMIT
+    rows = tr.build_glued(m).adj.sum(axis=1)
+    assert rows.min() <= ct.zero_component_spectrum(m).theta <= rows.max()
+
+
 @pytest.mark.parametrize("m", range(2, 15))
 def test_glued_sizes_and_theta_match_tables(m, monkeypatch):
     # the spectrum builds one glued quotient and no dense reduced digraph;
@@ -440,11 +470,11 @@ def test_engine_steps_to_the_gram_certificate(family, m):
 
 
 def test_engine_refuses_a_non_symmetrisable_quotient(monkeypatch):
-    # D·G = Gᵀ·D fails for G = [[1, 1], [0, 1]] and any orbit sizes D
-    g = tr.TransferDigraph("glued", 3, ("000", "001"), np.array([[1, 1], [0, 1]]))
-    monkeypatch.setattr(tr, "build_glued", lambda m: g)
+    # one arc dropped from each batch of reduced arcs breaks D·G = Gᵀ·D
+    real = tr.reduced_arcs
+    monkeypatch.setattr(tr, "reduced_arcs", lambda inlets, m: tuple(a[1:] for a in real(inlets, m)))
     with pytest.raises(AssertionError, match="not symmetric"):
-        ct._tnc_engine(3)
+        tr.build_glued(4)
 
 
 def test_engine_refuses_an_asymmetric_reduced_digraph(monkeypatch):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridcycles import counting, refdata, transfer
 from gridcycles.alphabet import rotate
-from gridcycles.exactmat import amplitude_estimate, dominant_eigenvalue
+from gridcycles.exactmat import amplitude_estimate
 
 N2 = [[1, 2], [2, 1]]  # zero component of width 2
 B2 = [[0, 2], [2, 0]]
@@ -115,43 +115,6 @@ def test_torus_count_is_sum_of_component_traces():
     assert counting.count_tg(2, 0, 2) == 18
 
 
-def test_dominant_eigenvalue_examples():
-    assert dominant_eigenvalue(np.array([[4.5]])).theta == 4.5
-    s = dominant_eigenvalue(np.array(N2, dtype=float))
-    assert abs(s.theta - 3.0) < 1e-11
-    assert s.residual <= 1e-12
-    d = transfer.build_reduced(4)
-    census = transfer.components(d)
-    sub = transfer.component_subdigraph(d, census, census.zero_id)
-    s4 = dominant_eigenvalue(sub.adj.astype(float), tol=1e-12)
-    assert abs(s4.theta - 6.37228132326901) < 1e-9
-
-
-def test_dominant_eigenvalue_periodic_component():
-    # bipartite component: plain power iteration would oscillate
-    s = dominant_eigenvalue(np.array(B2, dtype=float))
-    assert abs(s.theta - 2.0) < 1e-11
-
-
-def test_residuals_shrink_after_burn_in():
-    d = transfer.build_reduced(5)
-    census = transfer.components(d)
-    sub = transfer.component_subdigraph(d, census, census.zero_id)
-    log: list[float] = []
-    dominant_eigenvalue(sub.adj.astype(float), tol=1e-12, residual_log=log)
-    burn = len(log) // 4
-    tail = log[burn:]
-    assert all(b <= a * 1.0001 + 1e-15 for a, b in zip(tail, tail[1:]))
-
-
-def test_nonconvergence_reported():
-    d = transfer.build_reduced(4)
-    census = transfer.components(d)
-    sub = transfer.component_subdigraph(d, census, census.zero_id)
-    with pytest.raises(ArithmeticError):
-        dominant_eigenvalue(sub.adj.astype(float), tol=1e-15, max_iter=1)
-
-
 @pytest.mark.parametrize(
     "m,expected",
     [(2, 0.5), (3, 0.361324950944), (4, 0.206480586011)],
@@ -166,11 +129,18 @@ def test_amplitude_past_the_float_range():
     assert abs(amplitude_estimate(8, n_max=240) - expected) <= 1e-9
 
 
-@pytest.mark.parametrize("n_max,window", [(3, 5), (0, 5), (5, 0)])
-def test_amplitude_rejects_windows_past_the_series(n_max, window):
-    # a window longer than the series would divide by theta^n for n <= 0
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_amplitude_needs_a_term(n_max):
+    # the ratio is read at n = n_max, which must be a length
     with pytest.raises(ValueError):
-        amplitude_estimate(3, n_max=n_max, window=window)
+        amplitude_estimate(3, n_max=n_max)
+
+
+def test_amplitude_matches_the_tables():
+    # one exact ratio at n = 80 against every shipped amplitude
+    tab = refdata.tables()["amplitude_tnc"]
+    for m in range(2, 15):
+        assert abs(amplitude_estimate(m) - float(tab[str(m)])) <= 1e-12 * float(tab[str(m)])
 
 
 @pytest.mark.parametrize("m", range(2, 7))

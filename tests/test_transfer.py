@@ -251,6 +251,16 @@ def test_glued_m2():
     assert g.vertices == ("00", "11")
 
 
+def test_glued_from_another_root():
+    # the walk starts at the orbit of the root and stays in its component:
+    # {01, 10} of width 2 is one orbit with a double arc to itself, and the
+    # 8-word component of width 4 folds into two orbits of four
+    g = tr.build_glued(2, 0b10)
+    assert g.vertices == ("01",) and g.adj.tolist() == [[2]]
+    g = tr.build_glued(4, 0b1000)
+    assert g.vertices == ("0001", "0111") and g.adj.tolist() == [[2, 3], [3, 2]]
+
+
 @pytest.mark.parametrize(
     "m,expected", [(2, 2), (3, 2), (4, 3), (5, 4), (6, 6), (7, 9), (8, 11)]
 )
@@ -290,7 +300,7 @@ def test_glued_is_the_orbit_quotient_of_the_zero_component(m):
 @pytest.mark.parametrize("m", range(2, 11))
 def test_glued_is_balanced_by_orbit_sizes(m):
     # D·G = Gᵀ·D for D the dihedral orbit sizes, so the elementwise
-    # sqrt(G∘Gᵀ) that the spectrum iterates on is D^½·G·D^-½
+    # sqrt(G∘Gᵀ) that the spectrum solves is D^½·G·D^-½
     g = tr.build_glued(m)
     d = np.array(
         [len({al.rotate(x, k) for x in (w, w[::-1]) for k in range(m)}) for w in g.vertices]
