@@ -9,22 +9,25 @@ Families (CLI vocabulary in parentheses):
 
 Each count has two routes that must agree:
 
-* production — one big-int vector engine keeps v = M^n e_s for each start
-  vertex s of a transfer digraph M and reads every series linearly off
-  these vectors.  The thin cylinder walks the glued quotient (the all-zero
+* production — the thin cylinder walks the glued quotient G (the all-zero
   component of the reduced digraph folded by rotation and reversal) from
-  0^m; the torus and Klein bottle walk the reduced digraph from each
-  rotation orbit, pairing each vertex with its rotation (resp. reversed
-  rotation) image.  The methods ``reduced`` and ``glued`` both name this
-  route for the thin cylinder; ``glued`` applies to it alone.
+  0^m: its engine keeps G^n e_0 modulo word-size primes as float64
+  columns, steps them by one BLAS product a term, and lifts the count
+  G^n[0, 0] by the Chinese remainder theorem.  The torus and Klein bottle
+  walk the reduced digraph A from each rotation orbit with one big-int
+  vector A^n e_s per start s, pairing each vertex with its rotation (resp.
+  reversed rotation) image.  The methods ``reduced`` and ``glued`` both
+  name the production route for the thin cylinder; ``glued`` applies to
+  it alone.
 * ``full`` — walk counts on the full digraph of column words, the
   independent cross-check.  It always steps and never reads a recurrence.
 
 Series values are Python integers (exact).  Engines cache their series per
 width, so asking for more terms or another twist extends earlier work
-instead of recomputing powers.  The vector engine steps one term at a time
-until its series are certified (:func:`gridcycles.recurrence.certify`),
-then drops its vectors and extends the series by their recurrences.  Each
+instead of recomputing powers.  Both production engines step one term at
+a time until their series are certified
+(:func:`gridcycles.recurrence.certify`), then drop what they step and
+extend the series by their recurrences.  Each
 engine names a Gram series: the thin-cylinder count e_0ᵀ S^n e_0, S =
 D^½·G·D^-½ the symmetric form of the glued quotient G, and the torus
 count tg(n, 0) = tr(A^n) for the symmetric reduced matrix A.  Its Hankel
@@ -49,6 +52,7 @@ tolerance or convergence failure.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -149,59 +153,38 @@ class _Engine:
         return store
 
 
-class _VectorEngine(_Engine):
-    """Walk counts as big-int vectors v_j = M^n e_s, one per start s_j, until
-    the series are certified.
+class _CertifiedEngine(_Engine):
+    """An engine that steps its series until they are certified, then
+    extends them by their recurrences.
 
-    M is given as successor rows, each successor repeated by its
-    multiplicity, so a step w[x] = sum of v[y] over row x gives w = M v.
-    Each start's component is strongly connected, so outside it v_j stays
-    zero and a step computes only the component's rows.  ``first[j]`` is
-    M e_s (n = 1).  Every series is a linear read: the count for (family,
-    p) is the sum over j of v_j[x] for x in ``reads[family][p][j]``.
+    A subclass keeps the stepping state: ``_walk`` advances it by one
+    term, ``_read(family, p)`` reads the current term of one series and
+    ``_drop`` frees the state once the series are certified.
 
     ``gram`` names the Gram series (see :mod:`gridcycles.recurrence`).
     Its terms go to a BM modulo ``PRIMES[0]`` as they come; when 2L + 2
     terms are in, L the BM order, the Gram series is certified with bound
     L, and L then bounds every series.  A refuted L means stepping on, and
-    each L is tried once.  The cap is ``size`` = |U|, U the union of the
-    components: U is closed under M and holds every start, so each series
-    satisfies the characteristic polynomial of M on U and 2·|U| terms
-    always certify.  Once certified, ``recurrences[family][p]`` extends
-    each series, and the vectors and rows are dropped.
+    each L is tried once.  The cap is ``size`` = |U|, U a set of rows
+    closed under the stepped matrix that holds every start, so each series
+    satisfies the characteristic polynomial of the matrix on U and 2·|U|
+    terms always certify.  Once certified, ``recurrences[family][p]``
+    extends each series.
     """
 
-    def __init__(
-        self,
-        rows: list[list[int]],
-        starts: list[int],
-        first: list[list[int]],
-        reads: dict,
-        gram: tuple[str, int],
-    ):
+    def __init__(self, counts: dict[str, int], gram: tuple[str, int], size: int):
         super().__init__()
-        self.starts, self.vectors, self.reads = starts, first, reads
-        # (members, their rows) of each component, shared by its starts
-        block_of: dict[int, tuple[list[int], list[list[int]]]] = {}
-        self.blocks: list[tuple[list[int], list[list[int]]]] | None = []
-        for s in starts:
-            if s not in block_of:
-                members = sorted(transfer._reach(s, rows))
-                block = (members, [rows[x] for x in members])
-                block_of.update(dict.fromkeys(members, block))
-            self.blocks.append(block_of[s])
-        self.size = len(block_of)
+        self.size = size
         self.recurrences: dict | None = None
-        self.series = {family: [[] for _ in by_p] for family, by_p in reads.items()}
+        self.series = {family: [[] for _ in range(k)] for family, k in counts.items()}
         self.gram = self.series[gram[0]][gram[1]]
         self.fit: recurrence.ModularBM | None = recurrence.ModularBM(recurrence.PRIMES[0])
         self.tried = -1  # the last Gram order tried
-        self._record()
 
     def _record(self) -> None:
-        for family, reads in self.reads.items():
-            for p, store in enumerate(self.series[family]):
-                store.append(sum(v[x] for v, xs in zip(self.vectors, reads[p]) for x in xs))
+        for family, stores in self.series.items():
+            for p, store in enumerate(stores):
+                store.append(self._read(family, p))
         self.fit.add(self.gram[-1])
 
     def _step(self) -> None:
@@ -210,16 +193,12 @@ class _VectorEngine(_Engine):
                 for store, rec in zip(stores, self.recurrences[family]):
                     store.append(rec.next(store))
             return
-        for j, (members, rows) in enumerate(self.blocks):
-            v = self.vectors[j]
-            self.vectors[j] = w = [0] * len(v)
-            for x, row in zip(members, rows):
-                w[x] = sum(map(v.__getitem__, row))
+        self._walk()
         self._record()
 
     def _advance(self, terms: float) -> None:
-        """Step the vectors to ``terms`` terms or until the series are
-        certified, whichever comes first."""
+        """Step the series to ``terms`` terms or until they are certified,
+        whichever comes first."""
         while self.recurrences is None and len(self.gram) < terms:
             self._step()
             n, order = len(self.gram), self.fit.order
@@ -246,7 +225,8 @@ class _VectorEngine(_Engine):
                     fits[key] = recurrence.certify(store, bound)
                 recurrences[family].append(fits[key])
         self.recurrences = recurrences
-        self.vectors = self.blocks = self.fit = None
+        self.fit = None
+        self._drop()
 
     def _extend(self, family: str, p: int, terms: int) -> list[int]:
         self._advance(terms)
@@ -265,6 +245,171 @@ class _VectorEngine(_Engine):
         with self.lock:
             self._advance(math.inf)
             return self.recurrences[family][p]
+
+
+class _VectorEngine(_CertifiedEngine):
+    """Walk counts as big-int vectors v_j = M^n e_s, one per start s_j.
+
+    M is given as successor rows, each successor repeated by its
+    multiplicity, so a step w[x] = sum of v[y] over row x gives w = M v.
+    Each start's component is strongly connected, so outside it v_j stays
+    zero and a step computes only the component's rows.  ``first[j]`` is
+    M e_s (n = 1).  Every series is a linear read: the count for (family,
+    p) is the sum over j of v_j[x] for x in ``reads[family][p][j]``.  U is
+    the union of the components.  Certification drops the vectors and
+    rows.
+    """
+
+    def __init__(
+        self,
+        rows: list[list[int]],
+        starts: list[int],
+        first: list[list[int]],
+        reads: dict,
+        gram: tuple[str, int],
+    ):
+        self.starts, self.vectors, self.reads = starts, first, reads
+        # (members, their rows) of each component, shared by its starts
+        block_of: dict[int, tuple[list[int], list[list[int]]]] = {}
+        self.blocks: list[tuple[list[int], list[list[int]]]] | None = []
+        for s in starts:
+            if s not in block_of:
+                members = sorted(transfer._reach(s, rows))
+                block = (members, [rows[x] for x in members])
+                block_of.update(dict.fromkeys(members, block))
+            self.blocks.append(block_of[s])
+        super().__init__({family: len(by_p) for family, by_p in reads.items()}, gram, len(block_of))
+        self._record()
+
+    def _read(self, family: str, p: int) -> int:
+        return sum(v[x] for v, xs in zip(self.vectors, self.reads[family][p]) for x in xs)
+
+    def _walk(self) -> None:
+        for j, (members, rows) in enumerate(self.blocks):
+            v = self.vectors[j]
+            self.vectors[j] = w = [0] * len(v)
+            for x, row in zip(members, rows):
+                w[x] = sum(map(v.__getitem__, row))
+
+    def _drop(self) -> None:
+        self.vectors = self.blocks = None
+
+
+# the first horizon of a residue engine, in terms; each growth adds a quarter
+_FIRST_HORIZON = 64
+# Miller–Rabin with these bases decides every n < 3.3·10^24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIMES: dict[int, list[int]] = {}  # limit -> the primes <= limit found so far, descending
+_PRIMES_LOCK = threading.Lock()
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_below(limit: int, i: int) -> int:
+    """The (i + 1)-th greatest prime <= limit; each is found once per
+    process."""
+    with _PRIMES_LOCK:
+        primes = _PRIMES.setdefault(limit, [])
+        q = primes[-1] - 1 if primes else limit
+        while len(primes) <= i:
+            if _is_prime(q):
+                primes.append(q)
+            q -= 1
+        return primes[i]
+
+
+class _ResidueEngine(_CertifiedEngine):
+    """The thin-cylinder count G^n[0, 0] from residues of G^n e_0 modulo
+    word-size primes, G the glued quotient (0^m at index 0).
+
+    G is kept as float64, and column i of ``residues`` holds G^n e_0 mod
+    ``primes[i]``, so each term is one product fmod(G @ V, p).  Every
+    prime p is at most 2^53 / rowmax(G), rowmax the greatest row sum, so
+    each partial sum of the product is an integer <= rowmax·(p - 1) < 2^53
+    and the float arithmetic is exact.  Every entry of G^n e_0 is at most
+    rowmax^n, so the count is lifted from row 0 by Garner's CRT over the
+    shortest prefix of the primes whose product exceeds rowmax^n.
+
+    The columns cover the terms up to ``horizon``.  A term past it grows
+    the horizon by a quarter: the new primes' columns start at e_0 and are
+    stepped to the current n on their own, and the old columns are kept.
+
+    The count is its own Gram series: with D the orbit size of each
+    representative, D·G = Gᵀ·D (checked by :func:`transfer.build_glued`)
+    makes S = D^½·G·D^-½ symmetric, and G^n[0, 0] = e_0ᵀ S^n e_0 =
+    <S^i e_0, S^j e_0> for i + j = n.  G is one strongly connected
+    component, so U is all of G.  Certification drops G and the residues.
+    """
+
+    def __init__(self, adj: np.ndarray):
+        super().__init__({"tnc": 1}, ("tnc", 0), len(adj))
+        self.rowmax = int(adj.sum(axis=1).max())
+        self.limit = (1 << 53) // self.rowmax
+        if self.rowmax * (_prime_below(self.limit, 0) - 1) >= 1 << 53:
+            raise AssertionError(f"float64 products of G are not exact at rowmax {self.rowmax}")
+        self.glued: np.ndarray | None = adj.astype(np.float64)
+        self.residues: np.ndarray | None = np.zeros((len(adj), 0))
+        self.primes: list[int] = []
+        self.products = [1]  # products[i] = primes[0] ⋯ primes[i - 1]
+        self.inverses: list[int] = []  # inverses[i] = 1 / products[i] mod primes[i]
+        self.n, self.bound, self.horizon = 0, 1, 0  # bound = rowmax^n
+        self._step()
+
+    def _grow(self, horizon: int) -> None:
+        """Add the primes and columns that terms up to ``horizon`` need."""
+        old, bound = len(self.primes), self.rowmax**horizon
+        while self.products[-1] <= bound:
+            p = _prime_below(self.limit, len(self.primes))
+            self.primes.append(p)
+            self.inverses.append(pow(self.products[-1], -1, p))
+            self.products.append(self.products[-1] * p)
+        moduli = np.array(self.primes[old:], dtype=np.float64)
+        new = np.zeros((len(self.glued), len(moduli)))
+        new[0] = 1
+        for _ in range(self.n):
+            new = np.fmod(self.glued @ new, moduli)
+        self.residues = np.hstack([self.residues, new])
+        self.moduli = np.array(self.primes, dtype=np.float64)
+        self.horizon = horizon
+
+    def _walk(self) -> None:
+        if self.n == self.horizon:
+            self._grow(max(_FIRST_HORIZON, self.horizon + self.horizon // 4))
+        self.residues = np.fmod(self.glued @ self.residues, self.moduli)
+        self.n += 1
+        self.bound *= self.rowmax
+
+    def _read(self, family: str, p: int) -> int:
+        k = bisect.bisect_right(self.products, self.bound)  # products[k] > rowmax^n
+        x = 0
+        for r, q, product, inverse in zip(
+            self.residues[0, :k].astype(np.int64).tolist(), self.primes, self.products, self.inverses
+        ):
+            x += product * ((r - x % q) * inverse % q)
+        return x
+
+    def _drop(self) -> None:
+        self.glued = self.residues = self.moduli = None
 
 
 def _trace_engine(m: int) -> _VectorEngine:
@@ -300,19 +445,9 @@ def _trace_engine(m: int) -> _VectorEngine:
     return _VectorEngine(rows, reps, first, reads, ("tg", 0))
 
 
-def _tnc_engine(m: int) -> _VectorEngine:
-    """Thin-cylinder counts on the glued quotient G: the count is
-    G^n[0, 0] = (G^n e_0)[0], with 0^m at index 0, so G's own rows serve
-    although G is not symmetric; the vector starts as column 0 of G.
-
-    The count is its own Gram series: with D the orbit size of each
-    representative, D·G = Gᵀ·D (checked by :func:`transfer.build_glued`)
-    makes S = D^½·G·D^-½ symmetric, and
-    G^n[0, 0] = e_0ᵀ S^n e_0 = <S^i e_0, S^j e_0> for i + j = n."""
-    adj = transfer.build_glued(m).adj
-    index = np.arange(len(adj))
-    rows = [np.repeat(index, row).tolist() for row in adj]
-    return _VectorEngine(rows, [0], [adj[:, 0].tolist()], {"tnc": [[[0]]]}, ("tnc", 0))
+def _tnc_engine(m: int) -> _ResidueEngine:
+    """Thin-cylinder counts on the glued quotient of width m."""
+    return _ResidueEngine(transfer.build_glued(m).adj)
 
 
 class _FullWalkEngine(_Engine):

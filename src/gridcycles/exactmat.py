@@ -2,10 +2,13 @@
 
 Every Perron root comes from :mod:`gridcycles.counting`, as the greatest
 eigenvalue of a symmetrised glued quotient (``numpy.linalg.eigvalsh``).
-Counts explode past 10^40 well inside the verified ranges, so every counting
-path works on Python integers; floats appear only in the spectral helpers,
-and ratios of counts to powers of theta are formed exactly before they are
-rounded.  All public functions are pure and reentrant.
+Counts explode past 10^40 well inside the verified ranges, so every count
+is a Python integer.  The thin-cylinder engine steps in float64, but only
+on residues modulo primes below 2^53 / rowmax(G), where every product is an
+exact integer, and it lifts each count by the Chinese remainder theorem.
+Otherwise floats appear only in the spectral helpers, and ratios of counts
+to powers of theta are formed exactly before they are rounded.  All public
+functions are pure and reentrant.
 """
 
 from __future__ import annotations

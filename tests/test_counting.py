@@ -366,7 +366,7 @@ def test_glued_sizes_and_theta_match_tables(m, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# certified recurrences in the vector engine
+# certified recurrences in the production engines
 # ---------------------------------------------------------------------------
 
 
@@ -386,6 +386,12 @@ def _power_count(family, m, p, n):
     index = {w: i for i, w in enumerate(words)}
     flip = (lambda w: w[::-1]) if family == "kb" else (lambda w: w)
     return sum(power[index[flip(al.rotate(w, p))], i] for i, w in enumerate(words))
+
+
+def _stepping_state(engine):
+    # what the engine steps: residues of G^n e_0 (thin cylinder) or big-int
+    # vectors (torus and Klein bottle); None once certified
+    return engine.residues if isinstance(engine, ct._ResidueEngine) else engine.vectors
 
 
 @settings(max_examples=30, deadline=None)
@@ -414,6 +420,7 @@ def test_count_on_a_fresh_engine_matches_full_route_and_powers(case):
     stepped = min(2 * gram + 2, 2 * engine.size)
     assert len(engine.series[family][p]) == min(n, stepped)
     assert (engine.recurrences is not None) == (n >= stepped)
+    assert (_stepping_state(engine) is None) == (n >= stepped)
 
 
 # numerator and denominator of the thin-cylinder generating functions
@@ -439,7 +446,7 @@ def test_long_count_reads_the_recurrence(m, monkeypatch):
     assert ct.count_tnc(m, 5000) == _closed_form_term(*TNC_CLOSED_FORMS[m], 5000)
     engine = ct._ENGINES["tnc", m]
     assert len(engine.series["tnc"][0]) <= 2 * engine.size
-    assert engine.vectors is None and engine.blocks is None
+    assert engine.glued is None and engine.residues is None
     # the series goes on from the recurrence and agrees with the count
     assert ct.series(GridSpec("tnc", m), 300).values[-1] == ct.count_tnc(m, 300)
 
@@ -466,7 +473,34 @@ def test_engine_steps_to_the_gram_certificate(family, m):
     engine = ct._tnc_engine(m) if family == "tnc" else ct._trace_engine(m)
     order = engine.recurrence(family, 0).order
     assert len(engine.series[family][0]) == min(2 * order + 2, 2 * engine.size)
-    assert engine.vectors is None
+    assert _stepping_state(engine) is None
+
+
+def test_residue_columns_grow_without_restepping(monkeypatch):
+    # a first horizon of 16 terms makes a fresh m = 11 engine add residue
+    # columns several times on the way to its 66 certified terms; every
+    # stepped term is G^n[0, 0] and every column G^n e_0 mod its prime
+    monkeypatch.setattr(ct, "_FIRST_HORIZON", 16)
+    engine = ct._tnc_engine(11)
+    g = tr.build_glued(11).adj.astype(object)
+    power, widths = g, set()
+    for n in range(1, 66):
+        assert engine.values("tnc", 0, n)[-1] == power[0, 0]
+        widths.add(engine.residues.shape[1])
+        for p, column in zip(engine.primes, engine.residues.T):
+            assert column.astype(np.int64).tolist() == (power[:, 0] % p).tolist()
+        power = power @ g
+    assert engine.values("tnc", 0, 66)[-1] == power[0, 0]
+    assert engine.recurrences is not None and engine.residues is None
+    assert len(widths) >= 3
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_residue_bound_is_the_first_column_count(m):
+    # the greatest row sum of G, whose powers bound the entries of G^n e_0,
+    # is the number of first-column words, Lucas(m)
+    rowmax = int(tr.build_glued(m).adj.sum(axis=1).max())
+    assert rowmax == len(al.first_column_words(m)) == ct._tnc_engine(m).rowmax
 
 
 def test_engine_refuses_a_non_symmetrisable_quotient(monkeypatch):

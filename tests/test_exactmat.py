@@ -38,13 +38,17 @@ def test_pow_addition_law(m, i, j):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_cylinder_vector_is_a_power_column(m):
-    # the thin-cylinder engine steps G's rows from column 0: v = G^n e_0
+    # the thin-cylinder engine keeps G^n e_0 modulo each of its primes, one
+    # residue column per prime, and lifts G^n[0, 0] from row 0
     engine = counting._tnc_engine(m)
     g = transfer.build_glued(m).adj.astype(object)
     power = g
     for n in range(1, 7):
         _step_to(engine, n)
-        assert engine.vectors == [power[:, 0].tolist()]
+        assert len(engine.primes) == engine.residues.shape[1] >= 1
+        for p, column in zip(engine.primes, engine.residues.T):
+            assert column.astype(np.int64).tolist() == (power[:, 0] % p).tolist()
+        assert engine.series["tnc"][0][n - 1] == power[0, 0]
         power = power @ g
 
 

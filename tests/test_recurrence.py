@@ -241,7 +241,7 @@ def test_certificate_refutes_a_bound_below_the_order():
 @pytest.mark.parametrize("m", range(3, 10))
 def test_engine_refuses_an_understated_size(m, monkeypatch):
     # with |U| understated to any u in 2 .. order - 1 the engine raises
-    # instead of extending the series, and keeps stepping its vectors
+    # instead of extending the series, and keeps stepping its residues
     truth = ct.series(GridSpec("tnc", m), 40).values
     order = rc.certified_recurrence("tnc", m, 0).order
     for u in range(2, order):
@@ -249,7 +249,8 @@ def test_engine_refuses_an_understated_size(m, monkeypatch):
         monkeypatch.setattr(engine, "size", u)
         with pytest.raises(rc.CertificateError):
             engine.values("tnc", 0, 2 * u + 1)
-        assert engine.recurrences is None and engine.vectors is not None
+        assert engine.recurrences is None
+        assert engine.glued is not None and engine.residues is not None
         assert engine.values("tnc", 0, 2 * u) == truth[: 2 * u]
 
 
