@@ -483,16 +483,45 @@ def test_residue_columns_grow_without_restepping(monkeypatch):
     monkeypatch.setattr(ct, "_FIRST_HORIZON", 16)
     engine = ct._tnc_engine(11)
     g = tr.build_glued(11).adj.astype(object)
-    power, widths = g, set()
+    vector, widths = g[:, 0], set()  # G^n e_0
     for n in range(1, 66):
-        assert engine.values("tnc", 0, n)[-1] == power[0, 0]
+        assert engine.values("tnc", 0, n)[-1] == vector[0]
         widths.add(engine.residues.shape[1])
         for p, column in zip(engine.primes, engine.residues.T):
-            assert column.astype(np.int64).tolist() == (power[:, 0] % p).tolist()
-        power = power @ g
-    assert engine.values("tnc", 0, 66)[-1] == power[0, 0]
+            assert column.astype(np.int64).tolist() == (vector % p).tolist()
+        vector = g @ vector
+    assert engine.values("tnc", 0, 66)[-1] == vector[0]
     assert engine.recurrences is not None and engine.residues is None
     assert len(widths) >= 3
+
+
+def test_residue_primes_are_prime():
+    # Miller–Rabin agrees with a sieve, refuses strong pseudoprimes to the
+    # first four and the first nine prime bases, and the engine's primes
+    # descend from the limit
+    sieve = np.ones(20000, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, 142):
+        sieve[i * i :: i] = False
+    assert [n for n in range(20000) if ct._is_prime(n)] == np.flatnonzero(sieve).tolist()
+    assert not ct._is_prime(3215031751) and not ct._is_prime(3825123056546413051)
+    primes = [ct._prime(i) for i in range(8)]
+    assert all(map(ct._is_prime, primes)) and primes == sorted(primes, reverse=True)
+    assert primes[0] <= ct._PRIME_LIMIT and 5778 * primes[0] <= 1 << 53
+
+
+def test_reduction_is_exact_next_to_multiples():
+    # every k·p + d for d in -2..2 up to rowmax·(p - 1), rowmax = Lucas(18),
+    # reduces to its exact residue, although floor(w·(1/p)) misses the
+    # quotient by one both ways for some of these primes
+    moduli = np.array([ct._prime(i) for i in range(24)], dtype=np.float64)
+    k = np.arange(5779, dtype=np.float64)[:, None, None]
+    w = (k * moduli + np.arange(-2, 3, dtype=np.float64)[None, :, None]).reshape(-1, len(moduli))
+    w = np.where((w >= 0) & (w <= 5778 * (moduli - 1)), w, 0)
+    naive = w - np.floor(w * (1 / moduli)) * moduli
+    assert (naive < 0).any() and (naive >= moduli).any()
+    exact = w.astype(np.int64) % moduli.astype(np.int64)
+    assert np.array_equal(ct._reduce(w, moduli, 1 / moduli).astype(np.int64), exact)
 
 
 @pytest.mark.parametrize("m", range(2, 13))
