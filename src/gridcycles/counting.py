@@ -340,14 +340,14 @@ def _prime(i: int) -> int:
         return _PRIMES[i]
 
 
-def _reduce(w: np.ndarray, moduli: np.ndarray, reciprocals: np.ndarray) -> np.ndarray:
+def _reduce(w: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     """w mod p column by column, in place, for float64 integers 0 <= w and
     primes p with w < rowmax·p <= 2^53 (about three times faster than
     ``np.fmod``).  The quotient w/p is below rowmax <= 5778, so
     q = floor(w·(1/p)) is off by at most one, q·p <= rowmax·p is exact,
     and so is w - q·p in [-p, 2p); one correction each way lands in
     [0, p)."""
-    q = w * reciprocals
+    q = w * (1 / moduli)
     np.floor(q, out=q)
     q *= moduli
     w -= q
@@ -369,8 +369,9 @@ class _ResidueEngine(_CertifiedEngine):
     shortest prefix of the primes whose product exceeds rowmax^n.
 
     The columns cover the terms up to ``horizon``.  A term past it grows
-    the horizon by a quarter: the new primes' columns start at e_0 and are
-    stepped to the current n on their own, and the old columns are kept.
+    the horizon by a quarter.  The old columns then still determine G^n e_0
+    exactly, so it is lifted by the same CRT and reduced modulo the new
+    primes; no column is stepped twice.
 
     The count is its own Gram series: with D the orbit size of each
     representative, D·G = Gᵀ·D (checked by :func:`transfer.build_glued`)
@@ -393,42 +394,47 @@ class _ResidueEngine(_CertifiedEngine):
         self._step()
 
     def _grow(self, horizon: int) -> None:
-        """Add the primes and columns that terms up to ``horizon`` need."""
+        """Add the primes and columns that terms up to ``horizon`` need,
+        at the current n."""
         old, bound = len(self.primes), self.rowmax**horizon
         while self.products[-1] <= bound:
             p = _prime(len(self.primes))
             self.primes.append(p)
             self.inverses.append(pow(self.products[-1], -1, p))
             self.products.append(self.products[-1] * p)
-        moduli = np.array(self.primes[old:], dtype=np.float64)
-        reciprocals = 1 / moduli
-        new = np.zeros((len(self.glued), len(moduli)))
-        new[0] = 1
-        for _ in range(self.n):
-            new = _reduce(self.glued @ new, moduli, reciprocals)
-        self.residues = np.hstack([self.residues, new])
-        self.moduli = np.array(self.primes, dtype=np.float64)
-        self.reciprocals = 1 / self.moduli
         self.horizon = horizon
+        if len(self.primes) == old:
+            return
+        if old:  # G^n e_0 from the old columns: its entries are at most rowmax^n < products[old]
+            vector = self._lift(self.residues.T.astype(np.int64).astype(object))
+        else:  # e_0 at n = 0
+            vector = np.zeros(len(self.glued), dtype=object)
+            vector[0] = 1
+        new = np.array([vector % q for q in self.primes[old:]], dtype=np.float64)
+        self.residues = np.hstack([self.residues, new.T])
+        self.moduli = np.array(self.primes, dtype=np.float64)
 
     def _walk(self) -> None:
         if self.n == self.horizon:
             self._grow(max(_FIRST_HORIZON, self.horizon + self.horizon // 4))
-        self.residues = _reduce(self.glued @ self.residues, self.moduli, self.reciprocals)
+        self.residues = _reduce(self.glued @ self.residues, self.moduli)
         self.n += 1
         self.bound *= self.rowmax
 
-    def _read(self, family: str, p: int) -> int:
-        k = bisect.bisect_right(self.products, self.bound)  # products[k] > rowmax^n
+    def _lift(self, residues):
+        """The least non-negative integers (or integer arrays) with the
+        given residues modulo primes[0], primes[1], ... (Garner)."""
         x = 0
-        for r, q, product, inverse in zip(
-            self.residues[0, :k].astype(np.int64).tolist(), self.primes, self.products, self.inverses
-        ):
+        for r, q, product, inverse in zip(residues, self.primes, self.products, self.inverses):
             x += product * ((r - x % q) * inverse % q)
         return x
 
+    def _read(self, family: str, p: int) -> int:
+        k = bisect.bisect_right(self.products, self.bound)  # products[k] > rowmax^n
+        return self._lift(self.residues[0, :k].astype(np.int64).tolist())
+
     def _drop(self) -> None:
-        self.glued = self.residues = self.moduli = self.reciprocals = None
+        self.glued = self.residues = self.moduli = None
 
 
 def _trace_engine(m: int) -> _VectorEngine:
