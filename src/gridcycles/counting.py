@@ -390,7 +390,7 @@ class _ResidueEngine(_CertifiedEngine):
         self.primes: list[int] = []
         self.products = [1]  # products[i] = primes[0] ⋯ primes[i - 1]
         self.inverses: list[int] = []  # inverses[i] = 1 / products[i] mod primes[i]
-        self.n, self.bound, self.horizon = 0, 1, 0  # bound = rowmax^n
+        self.n = self.horizon = 0
         self._step()
 
     def _grow(self, horizon: int) -> None:
@@ -419,7 +419,6 @@ class _ResidueEngine(_CertifiedEngine):
             self._grow(max(_FIRST_HORIZON, self.horizon + self.horizon // 4))
         self.residues = _reduce(self.glued @ self.residues, self.moduli)
         self.n += 1
-        self.bound *= self.rowmax
 
     def _lift(self, residues):
         """The least non-negative integers (or integer arrays) with the
@@ -430,7 +429,7 @@ class _ResidueEngine(_CertifiedEngine):
         return x
 
     def _read(self, family: str, p: int) -> int:
-        k = bisect.bisect_right(self.products, self.bound)  # products[k] > rowmax^n
+        k = bisect.bisect_right(self.products, self.rowmax**self.n)  # products[k] > rowmax^n
         return self._lift(self.residues[0, :k].astype(np.int64).tolist())
 
     def _drop(self) -> None:
