@@ -27,16 +27,15 @@ width, so asking for more terms or another twist extends earlier work
 instead of recomputing powers.  Both production engines step one term at
 a time until their series are certified
 (:func:`gridcycles.recurrence.certify`), then drop what they step and
-extend the series by their recurrences.  Each
-engine names a Gram series: the thin-cylinder count e_0ᵀ S^n e_0, S =
-D^½·G·D^-½ the symmetric form of the glued quotient G, and the torus
-count tg(n, 0) = tr(A^n) for the symmetric reduced matrix A.  Its Hankel
-matrices are Gram matrices of the powers, so an integer recurrence of
-order L that regenerates its first 2L + 2 terms annihilates S·e_0 (resp.
-A), and every series read off the same powers obeys it.  The engine
-follows the Gram series' order L by Berlekamp–Massey modulo one prime and
-tries that certificate once 2L + 2 terms are in; a refuted L means
-stepping on.  2·|U| terms, U the rows it steps, always certify
+extend the series by their recurrences.  Each engine names a Gram series:
+the thin-cylinder count e_0ᵀ S^n e_0, S = D^½·G·D^-½ the symmetric form
+of the glued quotient G, and the torus count tg(n, 0) = tr(A^n) for the
+symmetric reduced matrix A.  Its Hankel matrices are Gram matrices of
+the powers, so an integer recurrence of order L that regenerates its
+first 2L + 2 terms annihilates S·e_0 (resp. A), and every series read off
+the same powers obeys it.  The engine follows the Gram series' order L by
+Berlekamp–Massey modulo one prime and tries that certificate once 2L + 2
+terms are in; a refuted L means stepping on.  2·|U| terms, U the rows it steps, always certify
 (Cayley–Hamilton), so that is the cap.  A single count past the cached
 terms is read off the recurrence in O(order² log n) big-int products,
 without caching the terms in between.  Each engine is built under its own
