@@ -9,13 +9,14 @@ Families (CLI vocabulary in parentheses):
 
 Each count has two routes that must agree:
 
-* production — the thin cylinder walks the glued quotient G (the all-zero
-  component of the reduced digraph folded by rotation and reversal) from
-  0^m: its engine keeps G^n e_0 modulo word-size primes as float64
-  columns, steps them by one BLAS product a term, and lifts the count
-  G^n[0, 0] by the Chinese remainder theorem.  The torus and Klein bottle
-  walk the reduced digraph A from each rotation orbit with one big-int
-  vector A^n e_s per start s, pairing each vertex with its rotation (resp.
+* production — one engine walks a transfer digraph M from a few start
+  columns e_s: it keeps M^n e_s modulo word-size primes as float64
+  columns, steps them by one BLAS product a term, and lifts each count by
+  the Chinese remainder theorem.  The thin cylinder walks the glued
+  quotient G (the all-zero component of the reduced digraph folded by
+  rotation and reversal) from 0^m and reads G^n[0, 0].  The torus and
+  Klein bottle walk the reduced digraph A, one block per component, from
+  each rotation orbit, pairing each vertex with its rotation (resp.
   reversed rotation) image.  The methods ``reduced`` and ``glued`` both
   name the production route for the thin cylinder; ``glued`` applies to
   it alone.
@@ -24,18 +25,12 @@ Each count has two routes that must agree:
 
 Series values are Python integers (exact).  Engines cache their series per
 width, so asking for more terms or another twist extends earlier work
-instead of recomputing powers.  Both production engines step one term at
-a time until their series are certified
-(:func:`gridcycles.recurrence.certify`), then drop what they step and
-extend the series by their recurrences.  Each engine names a Gram series:
-the thin-cylinder count e_0ᵀ S^n e_0, S = D^½·G·D^-½ the symmetric form
-of the glued quotient G, and the torus count tg(n, 0) = tr(A^n) for the
-symmetric reduced matrix A.  Its Hankel matrices are Gram matrices of
-the powers, so an integer recurrence of order L that regenerates its
-first 2L + 2 terms annihilates S·e_0 (resp. A), and every series read off
-the same powers obeys it.  The engine follows the Gram series' order L by
-Berlekamp–Massey modulo one prime and tries that certificate once 2L + 2
-terms are in; a refuted L means stepping on.  2·|U| terms, U the rows it steps, always certify
+instead of recomputing powers.  The production engine steps until a
+certificate on its Gram series (the thin-cylinder count e_0ᵀ S^n e_0 for
+the symmetric S = D^½·G·D^-½, the torus count tg(n, 0) = tr(A^n) for the
+symmetric A; see :mod:`gridcycles.recurrence`) proves the recurrence of
+every series, then drops what it steps and extends the series by their
+recurrences.  2·|U| terms, U the rows it steps, always certify
 (Cayley–Hamilton), so that is the cap.  A single count past the cached
 terms is read off the recurrence in O(order² log n) big-int products,
 without caching the terms in between.  Each engine is built under its own
@@ -74,8 +69,10 @@ FAMILIES = ("tnc", "tg", "kb")
 
 # Documented torus/Klein limit (see README; the full and thin-cylinder
 # routes are capped by transfer.FULL_MATRIX_LIMIT and transfer.GLUED_LIMIT).
-# The trace engine steps one big-int vector of length 2^m per rotation
-# orbit; at m = 11 terms 3..20 cost about 0.8 s each on a 2-core Xeon.
+# The trace engine steps float64 residues of A^n e_s, one column per
+# rotation orbit and prime, in two 1024-row blocks at m = 11: there terms
+# 3..20 cost about 0.07 s each, terms 21..100 0.2 s and terms 101..200
+# 0.56 s on one core of a Xeon, as each further prime widens the product.
 TG_KB_REDUCED_LIMIT = 11
 
 
@@ -152,153 +149,13 @@ class _Engine:
         return store
 
 
-class _CertifiedEngine(_Engine):
-    """An engine that steps its series until they are certified, then
-    extends them by their recurrences.
-
-    A subclass keeps the stepping state: ``_walk`` advances it by one
-    term, ``_read(family, p)`` reads the current term of one series and
-    ``_drop`` frees the state once the series are certified.
-
-    ``gram`` names the Gram series (see :mod:`gridcycles.recurrence`).
-    Its terms go to a BM modulo ``PRIMES[0]`` as they come; when 2L + 2
-    terms are in, L the BM order, the Gram series is certified with bound
-    L, and L then bounds every series.  A refuted L means stepping on, and
-    each L is tried once.  The cap is ``size`` = |U|, U a set of rows
-    closed under the stepped matrix that holds every start, so each series
-    satisfies the characteristic polynomial of the matrix on U and 2·|U|
-    terms always certify.  Once certified, ``recurrences[family][p]``
-    extends each series.
-    """
-
-    def __init__(self, counts: dict[str, int], gram: tuple[str, int], size: int):
-        super().__init__()
-        self.size = size
-        self.recurrences: dict | None = None
-        self.series = {family: [[] for _ in range(k)] for family, k in counts.items()}
-        self.gram = self.series[gram[0]][gram[1]]
-        self.fit: recurrence.ModularBM | None = recurrence.ModularBM(recurrence.PRIMES[0])
-        self.tried = -1  # the last Gram order tried
-
-    def _record(self) -> None:
-        for family, stores in self.series.items():
-            for p, store in enumerate(stores):
-                store.append(self._read(family, p))
-        self.fit.add(self.gram[-1])
-
-    def _step(self) -> None:
-        if self.recurrences is not None:
-            for family, stores in self.series.items():
-                for store, rec in zip(stores, self.recurrences[family]):
-                    store.append(rec.next(store))
-            return
-        self._walk()
-        self._record()
-
-    def _advance(self, terms: float) -> None:
-        """Step the series to ``terms`` terms or until they are certified,
-        whichever comes first."""
-        while self.recurrences is None and len(self.gram) < terms:
-            self._step()
-            n, order = len(self.gram), self.fit.order
-            if n >= 2 * self.size:
-                self._adopt(self.size, {})
-            elif n >= 2 * order + 2 and order != self.tried:
-                self.tried = order
-                try:
-                    fit = recurrence.certify(self.gram, order)
-                except recurrence.CertificateError:
-                    continue
-                self._adopt(order, {tuple(self.gram): fit})
-
-    def _adopt(self, bound: int, fits: dict) -> None:
-        """Certify every series with ``bound``, then extend them by their
-        recurrences.  ``fits`` maps series already certified to their fits;
-        equal series share one fit."""
-        recurrences = {}
-        for family, stores in self.series.items():
-            recurrences[family] = []
-            for store in stores:
-                key = tuple(store)
-                if key not in fits:
-                    fits[key] = recurrence.certify(store, bound)
-                recurrences[family].append(fits[key])
-        self.recurrences = recurrences
-        self.fit = None
-        self._drop()
-
-    def _extend(self, family: str, p: int, terms: int) -> list[int]:
-        self._advance(terms)
-        return super()._extend(family, p, terms)
-
-    def term(self, family: str, p: int, n: int) -> int:
-        with self.lock:
-            self._advance(n)
-            store = self.series[family][p]
-            if n <= len(store):
-                return store[n - 1]
-            return self.recurrences[family][p].term(store, n)
-
-    def recurrence(self, family: str, p: int):
-        """The certified minimal recurrence of one series."""
-        with self.lock:
-            self._advance(math.inf)
-            return self.recurrences[family][p]
-
-
-class _VectorEngine(_CertifiedEngine):
-    """Walk counts as big-int vectors v_j = M^n e_s, one per start s_j.
-
-    M is given as successor rows, each successor repeated by its
-    multiplicity, so a step w[x] = sum of v[y] over row x gives w = M v.
-    Each start's component is strongly connected, so outside it v_j stays
-    zero and a step computes only the component's rows.  ``first[j]`` is
-    M e_s (n = 1).  Every series is a linear read: the count for (family,
-    p) is the sum over j of v_j[x] for x in ``reads[family][p][j]``.  U is
-    the union of the components.  Certification drops the vectors and
-    rows.
-    """
-
-    def __init__(
-        self,
-        rows: list[list[int]],
-        starts: list[int],
-        first: list[list[int]],
-        reads: dict,
-        gram: tuple[str, int],
-    ):
-        self.starts, self.vectors, self.reads = starts, first, reads
-        # (members, their rows) of each component, shared by its starts
-        block_of: dict[int, tuple[list[int], list[list[int]]]] = {}
-        self.blocks: list[tuple[list[int], list[list[int]]]] | None = []
-        for s in starts:
-            if s not in block_of:
-                members = sorted(transfer._reach(s, rows))
-                block = (members, [rows[x] for x in members])
-                block_of.update(dict.fromkeys(members, block))
-            self.blocks.append(block_of[s])
-        super().__init__({family: len(by_p) for family, by_p in reads.items()}, gram, len(block_of))
-        self._record()
-
-    def _read(self, family: str, p: int) -> int:
-        return sum(v[x] for v, xs in zip(self.vectors, self.reads[family][p]) for x in xs)
-
-    def _walk(self) -> None:
-        for j, (members, rows) in enumerate(self.blocks):
-            v = self.vectors[j]
-            self.vectors[j] = w = [0] * len(v)
-            for x, row in zip(members, rows):
-                w[x] = sum(map(v.__getitem__, row))
-
-    def _drop(self) -> None:
-        self.vectors = self.blocks = None
-
-
-# the first horizon of a residue engine, in terms; each growth adds a quarter
+# a residue engine's first horizon, in terms, is its first request but at
+# most this; later growths add a quarter, or reach a request within this
 _FIRST_HORIZON = 64
 # The residue primes are the greatest primes <= 2^53 / Lucas(18), Lucas(18)
-# = 5778 being rowmax(G) at transfer.GLUED_LIMIT; each engine checks that
-# its products stay below 2^53.  They are found once per process.
+# = 5778 being rowmax(G) at transfer.GLUED_LIMIT (rowmax(A) at
+# TG_KB_REDUCED_LIMIT is Lucas(11) = 199); each engine checks that its
+# products stay below 2^53.  They are found once per process.
 _PRIME_LIMIT = (1 << 53) // 5778
 _PRIMES: list[int] = []  # the primes <= _PRIME_LIMIT found so far, descending
 _PRIMES_LOCK = threading.Lock()
@@ -355,47 +212,71 @@ def _reduce(w: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     return w
 
 
-class _ResidueEngine(_CertifiedEngine):
-    """The thin-cylinder count G^n[0, 0] from residues of G^n e_0 modulo
-    word-size primes, G the glued quotient (0^m at index 0).
+class _ResidueEngine(_Engine):
+    """Walk counts read off residues of M^n e_s modulo word-size primes,
+    stepped until the series are certified, then extended by their
+    recurrences.
 
-    G is kept as float64, and column i of ``residues`` holds G^n e_0 mod
-    ``primes[i]``, so each term is one product G @ V reduced mod p.  Every
-    prime p has rowmax·p <= 2^53, rowmax = rowmax(G) the greatest row sum,
-    so each partial sum of the product is an integer below 2^53 and the
-    float arithmetic is exact.  Every entry of G^n e_0 is at most
-    rowmax^n, so the count is lifted from row 0 by Garner's CRT over the
-    shortest prefix of the primes whose product exceeds rowmax^n.
+    M comes as ``blocks`` (M_b, starts): M_b, as float64, is M restricted
+    to rows closed under M, and ``starts`` are the rows s of the block whose
+    columns M_b^n e_s are walked.  Column i·|starts| + j of a block's
+    residue matrix holds M_b^n e_(starts[j]) mod ``primes[i]``, so a term
+    is one product M_b @ V per block, reduced mod p.  Every prime has
+    rowmax·p <= 2^53, rowmax the greatest row sum of any block, so each
+    partial sum is an integer below 2^53 and the float arithmetic exact.
 
-    The columns cover the terms up to ``horizon``.  A term past it grows
-    the horizon by a quarter.  The old columns then still determine G^n e_0
-    exactly, so it is lifted by the same CRT and reduced modulo the new
-    primes; no column is stepped twice.
+    A series reads ``reads[family][p]``, triples (b, rows, columns): the
+    count sums M_b^n[rows[i], starts[columns[i]]] over i, in int64 modulo
+    each prime, and is lifted by Garner's CRT over the shortest prefix of
+    the primes whose product exceeds weight·rowmax^n, weight the most pairs
+    any read sums, since rowmax^n bounds every entry of M^n e_s.
 
-    The count is its own Gram series: with D the orbit size of each
-    representative, D·G = Gᵀ·D (checked by :func:`transfer.build_glued`)
-    makes S = D^½·G·D^-½ symmetric, and G^n[0, 0] = e_0ᵀ S^n e_0 =
-    <S^i e_0, S^j e_0> for i + j = n.  G is one strongly connected
-    component, so U is all of G.  Certification drops G and the residues.
+    The columns cover the terms up to ``horizon``: first the first
+    request, at most ``_FIRST_HORIZON``, then a quarter more each time, or
+    a request within ``_FIRST_HORIZON``.  The old columns still determine
+    each M^n e_s exactly, so it is lifted by the same CRT and reduced
+    modulo the new primes; no column is stepped twice.
+
+    ``gram`` names the Gram series (see :mod:`gridcycles.recurrence`).  A
+    BM modulo ``PRIMES[0]`` follows its order L, and once 2L + 2 terms are
+    in, each L is tried once as the certificate's bound: L then bounds
+    every series, and a refuted L means stepping on.  The cap is ``size``
+    = |U|, U the rows of the blocks: each series satisfies the
+    characteristic polynomial of M on U, so 2·|U| terms always certify.
+    Once certified, ``recurrences[family][p]`` extends each series, and
+    the blocks, residues and reads are dropped.
     """
 
-    def __init__(self, adj: np.ndarray):
-        super().__init__({"tnc": 1}, ("tnc", 0), len(adj))
-        self.rowmax = int(adj.sum(axis=1).max())
-        if self.rowmax * _prime(0) > 1 << 53:
-            raise AssertionError(f"float64 products of G are not exact at rowmax {self.rowmax}")
-        self.glued: np.ndarray | None = adj.astype(np.float64)
-        self.residues: np.ndarray | None = np.zeros((len(adj), 0))
+    def __init__(
+        self, blocks: list[tuple[np.ndarray, list[int]]], reads: dict, gram: tuple[str, int]
+    ):
+        super().__init__()
+        self.blocks, self.reads = blocks, reads
+        self.size = sum(len(matrix) for matrix, _ in blocks)
+        self.rowmax = max(int(matrix.sum(axis=1).max()) for matrix, _ in blocks)
+        self.weight = max(
+            sum(len(rows) for _, rows, _ in read) for by_p in reads.values() for read in by_p
+        )
+        if self.rowmax * _prime(0) > 1 << 53 or self.weight * _prime(0) >= 1 << 63:
+            raise AssertionError(
+                f"residue arithmetic is not exact at rowmax {self.rowmax}, weight {self.weight}"
+            )
+        self.residues = [np.zeros((len(matrix), 0)) for matrix, _ in blocks]
+        self.moduli: list[np.ndarray] = []  # per block, primes[i] for column i·|starts| + j
         self.primes: list[int] = []
         self.products = [1]  # products[i] = primes[0] ⋯ primes[i - 1]
         self.inverses: list[int] = []  # inverses[i] = 1 / products[i] mod primes[i]
         self.n = self.horizon = 0
-        self._step()
+        self.recurrences: dict | None = None
+        self.series = {family: [[] for _ in by_p] for family, by_p in reads.items()}
+        self.gram = self.series[gram[0]][gram[1]]
+        self.fit: recurrence.ModularBM | None = recurrence.ModularBM(recurrence.PRIMES[0])
+        self.tried = -1  # the last Gram order tried
 
     def _grow(self, horizon: int) -> None:
         """Add the primes and columns that terms up to ``horizon`` need,
         at the current n."""
-        old, bound = len(self.primes), self.rowmax**horizon
+        old, bound = len(self.primes), self.weight * self.rowmax**horizon
         while self.products[-1] <= bound:
             p = _prime(len(self.primes))
             self.primes.append(p)
@@ -404,19 +285,27 @@ class _ResidueEngine(_CertifiedEngine):
         self.horizon = horizon
         if len(self.primes) == old:
             return
-        if old:  # G^n e_0 from the old columns: its entries are at most rowmax^n < products[old]
-            vector = self._lift(self.residues.T.astype(np.int64).astype(object))
-        else:  # e_0 at n = 0
-            vector = np.zeros(len(self.glued), dtype=object)
-            vector[0] = 1
-        new = np.array([vector % q for q in self.primes[old:]], dtype=np.float64)
-        self.residues = np.hstack([self.residues, new.T])
-        self.moduli = np.array(self.primes, dtype=np.float64)
+        for b, (matrix, starts) in enumerate(self.blocks):
+            v = self.residues[b]
+            # each M^n e_s from the old columns, one prime at a time, its
+            # entries at most rowmax^n < products[old]; e_s at n = 0
+            if old:
+                cube = v.reshape(len(v), old, len(starts))
+                vectors = self._lift(cube[:, i].astype(np.int64).astype(object) for i in range(old))
+            else:
+                vectors = np.zeros((len(matrix), len(starts)), dtype=object)
+                vectors[starts, np.arange(len(starts))] = 1
+            new = [(vectors % q).astype(np.float64) for q in self.primes[old:]]
+            self.residues[b] = np.hstack([v, *new])
+        moduli = np.array(self.primes, dtype=np.float64)
+        self.moduli = [np.repeat(moduli, len(starts)) for _, starts in self.blocks]
 
-    def _walk(self) -> None:
+    def _walk(self, terms: float) -> None:
+        """Step every block by one term; ``terms`` is the request."""
         if self.n == self.horizon:
-            self._grow(max(_FIRST_HORIZON, self.horizon + self.horizon // 4))
-        self.residues = _reduce(self.glued @ self.residues, self.moduli)
+            self._grow(max(self.horizon + self.horizon // 4, min(terms, _FIRST_HORIZON)))
+        for b, ((matrix, _), moduli) in enumerate(zip(self.blocks, self.moduli)):
+            self.residues[b] = _reduce(matrix @ self.residues[b], moduli)
         self.n += 1
 
     def _lift(self, residues):
@@ -427,22 +316,87 @@ class _ResidueEngine(_CertifiedEngine):
             x += product * ((r - x % q) * inverse % q)
         return x
 
-    def _read(self, family: str, p: int) -> int:
-        k = bisect.bisect_right(self.products, self.rowmax**self.n)  # products[k] > rowmax^n
-        return self._lift(self.residues[0, :k].astype(np.int64).tolist())
+    def _record(self) -> None:
+        """Append the current term of every series."""
+        k = bisect.bisect_right(self.products, self.weight * self.rowmax**self.n)
+        moduli = np.array(self.primes[:k], dtype=np.int64)
+        for family, stores in self.series.items():
+            for read, store in zip(self.reads[family], stores):
+                total = np.zeros(k, dtype=np.int64)
+                for b, rows, columns in read:
+                    v = self.residues[b]
+                    cube = v.reshape(len(v), -1, len(self.blocks[b][1]))
+                    total += cube[rows, :k, columns].astype(np.int64).sum(axis=0)
+                store.append(self._lift((total % moduli).tolist()))
+        self.fit.add(self.gram[-1])
 
-    def _drop(self) -> None:
-        self.glued = self.residues = self.moduli = None
+    def _step(self) -> None:
+        # past certification only: the next term of every series
+        for family, stores in self.series.items():
+            for store, rec in zip(stores, self.recurrences[family]):
+                store.append(rec.next(store))
+
+    def _advance(self, terms: float) -> None:
+        """Step the series to ``terms`` terms or until they are certified,
+        whichever comes first."""
+        while self.recurrences is None and len(self.gram) < terms:
+            self._walk(terms)
+            self._record()
+            n, order = len(self.gram), self.fit.order
+            if n >= 2 * self.size:
+                self._adopt(self.size, {})
+            elif n >= 2 * order + 2 and order != self.tried:
+                self.tried = order
+                try:
+                    fit = recurrence.certify(self.gram, order)
+                except recurrence.CertificateError:
+                    continue
+                self._adopt(order, {tuple(self.gram): fit})
+
+    def _adopt(self, bound: int, fits: dict) -> None:
+        """Certify every series with ``bound``, then extend them by their
+        recurrences.  ``fits`` maps series already certified to their fits;
+        equal series share one fit."""
+        recurrences = {}
+        for family, stores in self.series.items():
+            recurrences[family] = []
+            for store in stores:
+                key = tuple(store)
+                if key not in fits:
+                    fits[key] = recurrence.certify(store, bound)
+                recurrences[family].append(fits[key])
+        self.recurrences = recurrences
+        self.fit = None
+        self.blocks = self.residues = self.moduli = self.reads = None
+
+    def _extend(self, family: str, p: int, terms: int) -> list[int]:
+        self._advance(terms)
+        return super()._extend(family, p, terms)
+
+    def term(self, family: str, p: int, n: int) -> int:
+        with self.lock:
+            self._advance(n)
+            store = self.series[family][p]
+            if n <= len(store):
+                return store[n - 1]
+            return self.recurrences[family][p].term(store, n)
+
+    def recurrence(self, family: str, p: int):
+        """The certified minimal recurrence of one series."""
+        with self.lock:
+            self._advance(math.inf)
+            return self.recurrences[family][p]
 
 
-def _trace_engine(m: int) -> _VectorEngine:
-    """Torus/Klein counts on the reduced digraph A, whose rows come straight
-    from :func:`transfer.reduced_arcs`, so the dense matrix is never built.
+def _trace_engine(m: int) -> _ResidueEngine:
+    """Torus/Klein counts on the reduced digraph A, one block per component
+    that a start reaches, built from :func:`transfer.reduced_arcs` without
+    the dense 2^m × 2^m matrix.
 
     One start per rotation orbit, its least word r.  A is symmetric and
     commutes with the rotation R, so with k over the |orbit(r)| members,
-    tg(n, p) = sum_r sum_k v_r[R^p r] and kb(n, p) = sum_r sum_k
-    v_r[R^(-p-2k) rev(r)].  v_r starts as row r of A.
+    tg(n, p) = sum_r sum_k (A^n e_r)[R^p r] and kb(n, p) = sum_r sum_k
+    (A^n e_r)[R^(-p-2k) rev(r)]; rows outside the component of r read 0.
     """
     n_words = 1 << m
     src, outlets = transfer.reduced_arcs(np.arange(n_words), m)
@@ -450,27 +404,60 @@ def _trace_engine(m: int) -> _VectorEngine:
     forward = np.sort((src.astype(np.int64) << m) | outlets)
     if not np.array_equal(forward, np.sort((outlets.astype(np.int64) << m) | src)):
         raise AssertionError(f"reduced digraph m={m} is not symmetric")
-    # the arcs come grouped by inlet, so they split into successor rows
-    bounds = np.cumsum(np.bincount(src, minlength=n_words))[:-1]
-    rows = [row.tolist() for row in np.split(outlets, bounds)]
     words = np.arange(n_words)
     rotations = np.stack([transfer.rotate_words(words, k, m) for k in range(m)])
     reps = np.flatnonzero(rotations.min(axis=0) == words)
-    sizes = [len(set(rotations[:, r].tolist())) for r in reps]
+    # each start's component (its block): its members' label, their index
+    # in the block, and the column of each start in the block
+    label, (local, column) = np.full(n_words, -1), np.zeros((2, n_words), dtype=np.int64)
+    blocks = []
+    for r in reps.tolist():
+        if label[r] >= 0:
+            continue
+        reach = np.zeros(n_words, dtype=bool)
+        reach[r] = True
+        while True:  # breadth first over the arcs
+            targets = outlets[reach[src]]
+            if reach[targets].all():
+                break
+            reach[targets] = True
+        members, block_starts = np.flatnonzero(reach), reps[reach[reps]]
+        label[members] = len(blocks)
+        local[members] = np.arange(len(members))
+        column[block_starts] = np.arange(len(block_starts))
+        matrix, arcs = np.zeros((len(members), len(members))), reach[src]
+        np.add.at(matrix, (local[src[arcs]], local[outlets[arcs]]), 1)
+        blocks.append((matrix, local[block_starts].tolist()))
+    sizes = m // (rotations[:, reps] == reps).sum(axis=0)  # |orbit(r)|
+    starts = np.repeat(reps, sizes)  # each start once per member of its orbit
+    first = np.arange(m) < sizes[:, None]  # (start, k) for k < |orbit|
+
+    def read(pairs: np.ndarray) -> list:
+        # the count sums (A^n e_start)[pairs[i]] over i, within each block
+        parts = []
+        for b in range(len(blocks)):
+            keep = (label[pairs] == b) & (label[starts] == b)
+            parts.append((b, local[pairs[keep]], column[starts[keep]]))
+        return parts
+
     flipped = transfer.reverse_words(reps, m)
-    reads: dict[str, list[list[list[int]]]] = {"tg": [], "kb": []}
+    reads: dict[str, list[list]] = {"tg": [], "kb": []}
     for p in range(m):
         kb = np.stack([transfer.rotate_words(flipped, -p - 2 * k, m) for k in range(m)]).T
-        reads["tg"].append([[x] * size for x, size in zip(rotations[p, reps].tolist(), sizes)])
-        reads["kb"].append([row[:size] for row, size in zip(kb.tolist(), sizes)])
-    reps = reps.tolist()
-    first = [np.bincount(rows[r], minlength=n_words).tolist() for r in reps]
-    return _VectorEngine(rows, reps, first, reads, ("tg", 0))
+        reads["tg"].append(read(np.repeat(rotations[p, reps], sizes)))
+        reads["kb"].append(read(kb[first]))
+    return _ResidueEngine(blocks, reads, ("tg", 0))
 
 
 def _tnc_engine(m: int) -> _ResidueEngine:
-    """Thin-cylinder counts on the glued quotient of width m."""
-    return _ResidueEngine(transfer.build_glued(m).adj)
+    """Thin-cylinder counts G^n[0, 0] on the glued quotient G of width m
+    (0^m at index 0), its own Gram series: with D the orbit sizes,
+    D·G = Gᵀ·D (checked by :func:`transfer.build_glued`) makes
+    S = D^½·G·D^-½ symmetric, and G^n[0, 0] = <S^i e_0, S^j e_0> for
+    i + j = n.  G is strongly connected, so U is all of G."""
+    zero = np.zeros(1, dtype=np.int64)
+    glued = transfer.build_glued(m).adj.astype(np.float64)
+    return _ResidueEngine([(glued, [0])], {"tnc": [[(0, zero, zero)]]}, ("tnc", 0))
 
 
 class _FullWalkEngine(_Engine):

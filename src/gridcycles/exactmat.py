@@ -3,8 +3,8 @@
 Every Perron root comes from :mod:`gridcycles.counting`, as the greatest
 eigenvalue of a symmetrised glued quotient (``numpy.linalg.eigvalsh``).
 Counts explode past 10^40 well inside the verified ranges, so every count
-is a Python integer.  The thin-cylinder engine steps in float64, but only
-on residues modulo primes below 2^53 / rowmax(G), where every product is an
+is a Python integer.  The counting engine steps in float64, but only on
+residues modulo primes p with rowmax·p <= 2^53, where every product is an
 exact integer, and it lifts each count by the Chinese remainder theorem.
 Otherwise floats appear only in the spectral helpers, and ratios of counts
 to powers of theta are formed exactly before they are rounded.  All public

@@ -281,9 +281,12 @@ def build_glued(m: int, root: int = 0) -> TransferDigraph:
     pair = np.concatenate(pairs)
     adj = np.zeros((len(reps), len(reps)), dtype=np.int64)
     adj[index[pair >> m], index[pair & mask]] = np.concatenate(mults)
-    orbit_sizes = np.bincount(least)[reps]
-    if not is_symmetric(orbit_sizes[:, None] * adj):
-        raise AssertionError(f"D·G is not symmetric on the glued quotient m={m} root={root}")
+    # D·G = Gᵀ·D a block of rows at a time, like is_symmetric, so that no
+    # second full matrix D·G is formed
+    d, step = np.bincount(least)[reps], max(1, (1 << 20) // len(reps))
+    for rows in (slice(i, i + step) for i in range(0, len(reps), step)):
+        if not np.array_equal(d[rows, None] * adj[rows], (d[:, None] * adj[:, rows]).T):
+            raise AssertionError(f"D·G is not symmetric on the glued quotient m={m} root={root}")
     return TransferDigraph("glued", m, tuple(format(r, f"0{m}b") for r in reps), adj)
 
 

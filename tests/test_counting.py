@@ -388,12 +388,6 @@ def _power_count(family, m, p, n):
     return sum(power[index[flip(al.rotate(w, p))], i] for i, w in enumerate(words))
 
 
-def _stepping_state(engine):
-    # what the engine steps: residues of G^n e_0 (thin cylinder) or big-int
-    # vectors (torus and Klein bottle); None once certified
-    return engine.residues if isinstance(engine, ct._ResidueEngine) else engine.vectors
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from(["tnc", "tg", "kb"]).flatmap(
@@ -408,7 +402,7 @@ def _stepping_state(engine):
     )
 )
 def test_count_on_a_fresh_engine_matches_full_route_and_powers(case):
-    # the fresh engine steps its vectors until its Gram series (order L)
+    # the fresh engine steps its residues until its Gram series (order L)
     # certifies at 2L + 2 terms, or to the cap 2·|U|; a count past those
     # reads the one term off the recurrence and caches nothing past them
     family, m, p, n = case
@@ -420,7 +414,7 @@ def test_count_on_a_fresh_engine_matches_full_route_and_powers(case):
     stepped = min(2 * gram + 2, 2 * engine.size)
     assert len(engine.series[family][p]) == min(n, stepped)
     assert (engine.recurrences is not None) == (n >= stepped)
-    assert (_stepping_state(engine) is None) == (n >= stepped)
+    assert (engine.residues is None) == (n >= stepped)
 
 
 # numerator and denominator of the thin-cylinder generating functions
@@ -446,7 +440,7 @@ def test_long_count_reads_the_recurrence(m, monkeypatch):
     assert ct.count_tnc(m, 5000) == _closed_form_term(*TNC_CLOSED_FORMS[m], 5000)
     engine = ct._ENGINES["tnc", m]
     assert len(engine.series["tnc"][0]) <= 2 * engine.size
-    assert engine.glued is None and engine.residues is None
+    assert engine.blocks is None and engine.residues is None
     # the series goes on from the recurrence and agrees with the count
     assert ct.series(GridSpec("tnc", m), 300).values[-1] == ct.count_tnc(m, 300)
 
@@ -457,9 +451,9 @@ def test_certification_drops_vectors_and_keeps_the_series(monkeypatch):
     monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
     before = {p: ct.series(GridSpec("kb", 4, p), 17).values for p in range(4)}
     engine = ct._ENGINES["trace", 4]
-    assert engine.size == 16 and engine.recurrences is None and engine.vectors is not None
+    assert engine.size == 16 and engine.recurrences is None and engine.residues is not None
     after = {p: ct.series(GridSpec("kb", 4, p), 80).values for p in range(4)}
-    assert engine.vectors is None and engine.recurrences is not None
+    assert engine.residues is None and engine.recurrences is not None
     for p in range(4):
         assert after[p][:17] == before[p]
         assert after[p] == ct.series(GridSpec("kb", 4, p), 80, method="full").values
@@ -473,26 +467,45 @@ def test_engine_steps_to_the_gram_certificate(family, m):
     engine = ct._tnc_engine(m) if family == "tnc" else ct._trace_engine(m)
     order = engine.recurrence(family, 0).order
     assert len(engine.series[family][0]) == min(2 * order + 2, 2 * engine.size)
-    assert _stepping_state(engine) is None
+    assert engine.residues is None
 
 
-def test_residue_columns_grow_without_restepping(monkeypatch):
-    # a first horizon of 16 terms makes a fresh m = 11 engine add residue
-    # columns several times on the way to its 66 certified terms; every
-    # stepped term is G^n[0, 0] and every column G^n e_0 mod its prime
+@pytest.mark.parametrize("family,m,stepped", [("tnc", 11, 66), ("tg", 6, 54)])
+def test_residue_columns_grow_without_restepping(family, m, stepped, monkeypatch):
+    # one term at a time with a first horizon of at most 16 terms, a fresh
+    # engine adds residue columns several times on the way to its certified
+    # terms; every stepped term is G^n[0, 0] (tr(A^n)) and every column
+    # M_b^n e_s mod its prime
     monkeypatch.setattr(ct, "_FIRST_HORIZON", 16)
-    engine = ct._tnc_engine(11)
-    g = tr.build_glued(11).adj.astype(object)
-    vector, widths = g[:, 0], set()  # G^n e_0
-    for n in range(1, 66):
-        assert engine.values("tnc", 0, n)[-1] == vector[0]
-        widths.add(engine.residues.shape[1])
-        for p, column in zip(engine.primes, engine.residues.T):
-            assert column.astype(np.int64).tolist() == (vector % p).tolist()
-        vector = g @ vector
-    assert engine.values("tnc", 0, 66)[-1] == vector[0]
+    engine = ct._tnc_engine(m) if family == "tnc" else ct._trace_engine(m)
+    a = (tr.build_glued(m) if family == "tnc" else tr.build_reduced(m)).adj.astype(object)
+    blocks = [(matrix.astype(np.int64).astype(object), starts) for matrix, starts in engine.blocks]
+    vectors = [matrix[:, starts] for matrix, starts in blocks]  # M_b^n e_s, one column per start
+    count = (lambda power: power[0, 0]) if family == "tnc" else np.trace
+    power, widths = a, set()
+    for n in range(1, stepped):
+        assert engine.values(family, 0, n)[-1] == count(power)
+        for (matrix, starts), v, residues in zip(blocks, vectors, engine.residues):
+            widths.add(residues.shape[1])
+            for i, p in enumerate(engine.primes):
+                column = residues[:, i * len(starts) : (i + 1) * len(starts)]
+                assert column.astype(np.int64).tolist() == (v % p).tolist()
+        vectors = [matrix @ v for (matrix, _), v in zip(blocks, vectors)]
+        power = power @ a
+    assert engine.values(family, 0, stepped)[-1] == count(power)
     assert engine.recurrences is not None and engine.residues is None
     assert len(widths) >= 3
+
+
+@pytest.mark.parametrize("family,m", [("tnc", 13), ("tg", 9)])
+def test_first_horizon_follows_the_first_request(family, m):
+    # asked for 1 and then 4 terms, a fresh engine holds the primes whose
+    # product first exceeds the bound of its 4th term, and no more
+    engine = ct._tnc_engine(m) if family == "tnc" else ct._trace_engine(m)
+    engine.values(family, 0, 1)
+    engine.values(family, 0, 4)
+    bound = engine.rowmax**4 * (1 if family == "tnc" else engine.weight)
+    assert engine.products[-2] <= bound < engine.products[-1]
 
 
 def test_residue_primes_are_prime():

@@ -17,23 +17,57 @@ def _power(m, n):
 
 
 def _step_to(engine, n):
-    # vector steps only: a request past 2·|U| terms would certify the
-    # engine and drop its vectors
-    while len(next(iter(engine.series.values()))[0]) < n:
-        engine._step()
+    # residue steps only: a request past the Gram certificate would certify
+    # the engine and drop its residues
+    while engine.n < n:
+        engine._walk(n)
+        engine._record()
+
+
+def _layout(m):
+    # the trace engine's blocks: each component of A that holds a rotation
+    # representative, by least representative, as (members, representatives)
+    labels = transfer.components(transfer.build_reduced(m)).labels
+    words = [format(x, f"0{m}b") for x in range(1 << m)]
+    reps = [x for x, w in enumerate(words) if w == min(rotate(w, k) for k in range(m))]
+    order = list(dict.fromkeys(labels[r] for r in reps))
+    return [
+        ([x for x in range(1 << m) if labels[x] == c], [r for r in reps if labels[r] == c])
+        for c in order
+    ]
+
+
+def _vectors(engine, m, layout):
+    # A^n e_r as a list over all 2^m words for every representative r,
+    # lifted from the residues (every prime of the engine) by its own CRT
+    vectors = {}
+    for (members, reps), v in zip(layout, engine.residues):
+        cube = v.reshape(len(members), len(engine.primes), len(reps)).transpose(1, 0, 2)
+        lifted = engine._lift(cube.astype(np.int64).astype(object))
+        for j, r in enumerate(reps):
+            vectors[r] = [0] * (1 << m)
+            for x, value in zip(members, lifted[:, j]):
+                vectors[r][x] = value
+    return vectors
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 6))
 def test_pow_addition_law(m, i, j):
-    # the engine's vectors are columns of A^n: stepping A^i e_r by j more
+    # the engine's residues are columns of A^n: stepping A^i e_r by j more
     # terms gives A^j (A^i e_r), with A^j from numpy
-    engine = counting._trace_engine(m)
-    assert engine.vectors == [_power(m, 1)[:, r].tolist() for r in engine.starts]
+    engine, layout = counting._trace_engine(m), _layout(m)
+    _step_to(engine, 1)
+    assert _vectors(engine, m, layout) == {
+        r: _power(m, 1)[:, r].tolist() for _, reps in layout for r in reps
+    }
     _step_to(engine, i)
-    columns = np.array(engine.vectors, dtype=object).T
+    columns = _vectors(engine, m, layout)
     _step_to(engine, i + j)
-    assert engine.vectors == (_power(m, j) @ columns).T.tolist()
+    power = _power(m, j)
+    assert _vectors(engine, m, layout) == {
+        r: (power @ np.array(v, dtype=object)).tolist() for r, v in columns.items()
+    }
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -45,8 +79,8 @@ def test_cylinder_vector_is_a_power_column(m):
     power = g
     for n in range(1, 7):
         _step_to(engine, n)
-        assert len(engine.primes) == engine.residues.shape[1] >= 1
-        for p, column in zip(engine.primes, engine.residues.T):
+        assert len(engine.primes) == engine.residues[0].shape[1] >= 1
+        for p, column in zip(engine.primes, engine.residues[0].T):
             assert column.astype(np.int64).tolist() == (power[:, 0] % p).tolist()
         assert engine.series["tnc"][0][n - 1] == power[0, 0]
         power = power @ g
@@ -56,7 +90,7 @@ def test_cylinder_vector_is_a_power_column(m):
 def test_short_orbit_reads(m):
     # orbits shorter than m: each orbit's reads sum its members' selected
     # entries (A^n)[sigma(i), i], sigma the torus or Klein source map
-    engine = counting._trace_engine(m)
+    engine, layout = counting._trace_engine(m), _layout(m)
     words = transfer.build_reduced(m).vertices
     short = ["0" * m, "1" * m] + (["01" * (m // 2)] if m % 2 == 0 else [])
     sources = {
@@ -64,18 +98,27 @@ def test_short_orbit_reads(m):
         "kb": lambda w, p: rotate(w, p)[::-1],
     }
     for n in range(1, 7):
-        engine.values("tg", 0, n)
-        power = _power(m, n)
+        _step_to(engine, n)
+        power, vectors = _power(m, n), _vectors(engine, m, layout)
         for word in short:
-            j = engine.starts.index(words.index(word))
+            r = words.index(word)
+            b = next(b for b, (_, reps) in enumerate(layout) if r in reps)
+            members, j = layout[b][0], layout[b][1].index(r)
             orbit = {rotate(word, k) for k in range(m)}
             for family, source in sources.items():
                 for p in range(m):
                     expected = sum(
                         power[words.index(source(w, p)), words.index(w)] for w in orbit
                     )
-                    reads = engine.reads[family][p][j]
-                    assert sum(engine.vectors[j][x] for x in reads) == expected
+                    # the read's pairs (row, start r) within the block of r
+                    got = sum(
+                        vectors[r][members[x]]
+                        for c, rows, columns in engine.reads[family][p]
+                        if c == b
+                        for x, column in zip(rows.tolist(), columns.tolist())
+                        if column == j
+                    )
+                    assert got == expected
 
 
 def test_power_entry_reproduces_cylinder_counts():
@@ -92,11 +135,12 @@ def test_power_entry_reproduces_cylinder_counts():
 @pytest.mark.parametrize("m", range(2, 7))
 def test_symmetric_powers_stay_symmetric(m):
     # A^n is symmetric: v_r[r'] == v_r'[r] across representatives
-    engine = counting._trace_engine(m)
+    engine, layout = counting._trace_engine(m), _layout(m)
     for terms in range(2, 51):
         _step_to(engine, terms)
-        for v, r in zip(engine.vectors, engine.starts):
-            for w, s in zip(engine.vectors, engine.starts):
+        vectors = _vectors(engine, m, layout)
+        for r, v in vectors.items():
+            for s, w in vectors.items():
                 assert v[s] == w[r]
 
 

@@ -180,6 +180,12 @@ def _fraction_bm(seq: list[Fraction]) -> list[Fraction]:
     return cur
 
 
+def test_fit_primes_are_distinct_primes():
+    # Miller–Rabin with the first twelve prime bases decides primality far
+    # above 2^62
+    assert all(map(ct._is_prime, rc.PRIMES)) and len(set(rc.PRIMES)) == len(rc.PRIMES)
+
+
 @settings(max_examples=40)
 @given(recurrences, st.sampled_from(rc.PRIMES[:3]))
 def test_modular_bm_agrees_with_fraction_bm(case, p):
@@ -250,7 +256,7 @@ def test_engine_refuses_an_understated_size(m, monkeypatch):
         with pytest.raises(rc.CertificateError):
             engine.values("tnc", 0, 2 * u + 1)
         assert engine.recurrences is None
-        assert engine.glued is not None and engine.residues is not None
+        assert engine.blocks is not None and engine.residues is not None
         assert engine.values("tnc", 0, 2 * u) == truth[: 2 * u]
 
 

@@ -19,7 +19,7 @@ from gridcycles import recurrence
 
 OUT = "src/gridcycles/data/derived_orders.json"
 TNC_WIDTHS = (15, 16, 17, 18)
-TG_KB_WIDTHS = (6, 7, 8, 9)
+TG_KB_WIDTHS = (6, 7, 8, 9, 10)
 
 
 def main() -> None:
@@ -29,7 +29,7 @@ def main() -> None:
     doc = {
         "_comment": "Certified minimal recurrence orders past tables.json: the thin "
         "cylinder at m = 15..18, and every twist p = 0..m-1 of the torus and the Klein "
-        "bottle at m = 6..9.",
+        "bottle at m = 6..10.",
         "provenance": {"command": "PYTHONPATH=src python3 tools/derive_orders.py", "commit": commit},
         "orders_tnc": {},
         "orders_tg": {},
