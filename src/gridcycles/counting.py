@@ -223,7 +223,7 @@ class _ResidueEngine(_Engine):
     residue matrix holds M_b^n e_(starts[j]) mod ``primes[i]``, so a term
     is one product M_b @ V per block, reduced mod p.  Every prime has
     rowmax·p <= 2^53, rowmax the greatest row sum of any block, so each
-    partial sum is an integer below 2^53 and the float arithmetic exact.
+    partial sum is an integer below 2^53, exact in float64.
 
     A series reads ``reads[family][p]``, triples (b, rows, columns): the
     count sums M_b^n[rows[i], starts[columns[i]]] over i, in int64 modulo
