@@ -390,7 +390,7 @@ class _ResidueEngine(_Engine):
 
 def _trace_engine(m: int) -> _ResidueEngine:
     """Torus/Klein counts on the reduced digraph A, one block per component
-    that a start reaches, built from :func:`transfer.reduced_arcs` without
+    that holds a start, built from :func:`transfer.reduced_arcs` without
     the dense 2^m × 2^m matrix.
 
     One start per rotation orbit, its least word r.  A is symmetric and
@@ -407,25 +407,21 @@ def _trace_engine(m: int) -> _ResidueEngine:
     words = np.arange(n_words)
     rotations = np.stack([transfer.rotate_words(words, k, m) for k in range(m)])
     reps = np.flatnonzero(rotations.min(axis=0) == words)
-    # each start's component (its block): its members' label, their index
-    # in the block, and the column of each start in the block
-    label, (local, column) = np.full(n_words, -1), np.zeros((2, n_words), dtype=np.int64)
+    # the components that hold a start are the blocks, in the order of their
+    # least start: label[x] is the block of word x (-1 outside them), local[x]
+    # its index in the block, column[r] the column of start r in the block
+    least = transfer.arc_components(n_words, src, outlets)
+    roots, first = np.unique(least[reps], return_index=True)
+    label = np.full(n_words, -1)
+    label[roots[np.argsort(first)]] = np.arange(len(roots))
+    label = label[least]
+    local, column = np.zeros((2, n_words), dtype=np.int64)
     blocks = []
-    for r in reps.tolist():
-        if label[r] >= 0:
-            continue
-        reach = np.zeros(n_words, dtype=bool)
-        reach[r] = True
-        while True:  # breadth first over the arcs
-            targets = outlets[reach[src]]
-            if reach[targets].all():
-                break
-            reach[targets] = True
-        members, block_starts = np.flatnonzero(reach), reps[reach[reps]]
-        label[members] = len(blocks)
+    for b in range(len(roots)):
+        members, block_starts = np.flatnonzero(label == b), reps[label[reps] == b]
         local[members] = np.arange(len(members))
         column[block_starts] = np.arange(len(block_starts))
-        matrix, arcs = np.zeros((len(members), len(members))), reach[src]
+        matrix, arcs = np.zeros((len(members), len(members))), label[src] == b
         np.add.at(matrix, (local[src[arcs]], local[outlets[arcs]]), 1)
         blocks.append((matrix, local[block_starts].tolist()))
     sizes = m // (rotations[:, reps] == reps).sum(axis=0)  # |orbit(r)|
@@ -602,11 +598,10 @@ def count_kb(m: int, p: int, n: int, method: str = "reduced") -> int:
 def verify_route_agreement(m: int, p: int, n: int) -> bool:
     """Does the full-digraph route agree with the production route for all
     three families up to length n?"""
-    transfer._check_width(m)
-    p %= m
+    spec = GridSpec("tg", m, p)  # checks the width and reduces the twist
     return all(
-        _series_values(family, m, p, n, "reduced")
-        == _series_values(family, m, p, n, "full")
+        _series_values(family, m, spec.p, n, "reduced")
+        == _series_values(family, m, spec.p, n, "full")
         for family in FAMILIES
     )
 

@@ -15,6 +15,10 @@ Three digraph granularities drive the counting routes:
 
 Every reduced arc comes from :func:`reduced_arcs`; the full digraph and
 :func:`gridcycles.alphabet.count_io_words` are the independent references.
+Components are found by one routine, :func:`arc_components`, over arc
+index arrays: :func:`components` reads them from
+:meth:`TransferDigraph.arcs`, and the torus/Klein engine from
+:func:`reduced_arcs`.
 
 Digraphs are immutable once built and may be shared across threads.
 Construction is single-threaded.
@@ -22,7 +26,6 @@ Construction is single-threaded.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +58,8 @@ class TransferDigraph:
 
     ``adj`` is a dense numpy matrix for reduced/glued digraphs; for full
     digraphs it is materialised only up to FULL_MATRIX_LIMIT (otherwise
-    ``None``) and arcs are derived from outlet/inlet words on demand.
+    ``None``), and :meth:`arcs` joins each vertex to its outlet and inlet
+    binary words instead.
     """
 
     kind: str  # "full" | "reduced" | "glued"
@@ -73,23 +77,19 @@ class TransferDigraph:
     def index(self, word: str) -> int:
         return self._index[word]
 
-    def successor_lists(self) -> list[list[int]]:
-        """Adjacency lists (multiplicity ignored)."""
+    def arcs(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """``(nodes, src, dst)``: the node count and one (src[i], dst[i])
+        pair per arc, multiplicity ignored.  The nodes are the vertices,
+        except on a full digraph without matrix: there node len(self) + w
+        stands for the binary word w, with the arcs v -> outlet(v) and
+        inlet(u) -> u, so v reaches u through w exactly when v -> u is an
+        arc.  Reachability among the vertices is unchanged."""
         if self.adj is not None:
-            return [np.flatnonzero(row).tolist() for row in self.adj]
-        # full digraph without matrix: group vertices by inlet word
-        by_inlet: dict[str, list[int]] = defaultdict(list)
-        for i, w in enumerate(self.vertices):
-            by_inlet[inlet(w)].append(i)
-        return [by_inlet.get(outlet(w), []) for w in self.vertices]
-
-    def predecessor_lists(self) -> list[list[int]]:
-        if self.adj is not None:
-            return _inverse_lists(self.successor_lists())
-        by_outlet: dict[str, list[int]] = defaultdict(list)
-        for i, w in enumerate(self.vertices):
-            by_outlet[outlet(w)].append(i)
-        return [by_outlet.get(inlet(w), []) for w in self.vertices]
+            return (len(self), *np.nonzero(self.adj))
+        n, vertices = len(self), np.arange(len(self))
+        outs = n + np.array([int(outlet(w), 2) for w in self.vertices], dtype=np.int64)
+        ins = n + np.array([int(inlet(w), 2) for w in self.vertices], dtype=np.int64)
+        return n + (1 << self.m), np.concatenate([vertices, ins]), np.concatenate([outs, vertices])
 
     def to_json_dict(self) -> dict:
         if self.adj is None:
@@ -290,51 +290,43 @@ def build_glued(m: int, root: int = 0) -> TransferDigraph:
     return TransferDigraph("glued", m, tuple(format(r, f"0{m}b") for r in reps), adj)
 
 
-def _inverse_lists(succ: list[list[int]]) -> list[list[int]]:
-    """Predecessor lists from successor lists, each in increasing order."""
-    pred: list[list[int]] = [[] for _ in succ]
-    for x, row in enumerate(succ):
-        for y in row:
-            pred[y].append(x)
-    return pred
+def arc_components(nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The least node of each node's component, for a digraph on ``nodes``
+    nodes with arcs src[i] -> dst[i], every component strongly connected.
 
+    Each node is labelled by the least node that reaches it, by propagating
+    labels along the arcs with ``np.minimum.at`` until nothing changes, and
+    again along the reversed arcs by the least node it reaches.  The two
+    labellings, fwd and bwd, agree exactly when every weakly connected component is
+    strongly connected: then a label's nodes reach it and are reached by
+    it, and an arc u -> v gives fwd(v) <= fwd(u) = bwd(u) <= bwd(v) =
+    fwd(v), so no arc joins two labels.  Otherwise this raises, since every
+    component of these digraphs is strongly connected by construction and a
+    failure would mean a construction bug.
+    """
 
-def _reach(root: int, lists: list[list[int]]) -> set[int]:
-    # breadth-first by whole frontiers: set unions skip repeated successors
-    seen = {root}
-    frontier = seen
-    while frontier:
-        frontier = set().union(*(lists[v] for v in frontier)) - seen
-        seen |= frontier
-    return seen
+    def least_reaching(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        label = np.arange(nodes)
+        while True:
+            before = label.copy()
+            np.minimum.at(label, b, label[a])
+            if np.array_equal(label, before):
+                return label
+
+    label = least_reaching(src, dst)
+    if not np.array_equal(label, least_reaching(dst, src)):
+        raise AssertionError("a component of the digraph is not strongly connected")
+    return label
 
 
 def components(d: TransferDigraph) -> ComponentCensus:
     """Strongly connected components, which are also the weakly connected
-    ones.
-
-    Each component is the forward reach of its least unlabelled vertex, and
-    it must equal that vertex's backward reach: then no arc enters or leaves
-    it.  A mismatch aborts: every component of these digraphs is strongly
-    connected by construction, so it would mean a construction bug.
-    """
-    n = len(d.vertices)
-    succ = d.successor_lists()
-    pred = _inverse_lists(succ) if d.adj is not None else d.predecessor_lists()
-    labels = [-1] * n
-    sizes: list[int] = []
-    for root in range(n):
-        if labels[root] != -1:
-            continue
-        comp = len(sizes)
-        forward = _reach(root, succ)
-        if _reach(root, pred) != forward:
-            raise AssertionError(
-                f"component {comp} of {d.kind} digraph m={d.m} is not strongly connected"
-            )
-        for v in forward:
-            labels[v] = comp
-        sizes.append(len(forward))
+    ones, numbered by their least vertex; :func:`arc_components` finds them
+    over :meth:`TransferDigraph.arcs` and raises unless each is strongly
+    connected."""
+    least = arc_components(*d.arcs())[: len(d)]
+    ids = np.unique(least, return_inverse=True)[1]
+    labels, sizes = ids.tolist(), np.bincount(ids).tolist()
 
     def comp_of(word: str) -> int | None:
         i = d._index.get(word)

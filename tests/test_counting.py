@@ -197,8 +197,9 @@ def test_route_agreement_reduces_the_twist():
     # p = 5 and p = -1 both name twist 2 at m = 3
     assert ct.verify_route_agreement(3, 5, 4)
     assert ct.verify_route_agreement(3, -1, 4)
-    with pytest.raises(ValueError):
-        ct.verify_route_agreement(0, 0, 4)
+    for m in (0, 1):
+        with pytest.raises(ValueError):
+            ct.verify_route_agreement(m, 0, 4)
 
 
 @settings(max_examples=40, deadline=None)

@@ -51,6 +51,18 @@ def _vectors(engine, m, layout):
     return vectors
 
 
+@pytest.mark.parametrize("m", range(2, 10))
+def test_trace_blocks_are_the_census_components(m):
+    # each block is A on one census component that holds a representative,
+    # in the order of their least representatives, started at those
+    a = transfer.build_reduced(m).adj
+    blocks, layout = counting._trace_engine(m).blocks, _layout(m)
+    assert len(blocks) == len(layout)
+    for (matrix, starts), (members, reps) in zip(blocks, layout):
+        assert np.array_equal(matrix, a[np.ix_(members, members)])
+        assert starts == [members.index(r) for r in reps]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 6))
 def test_pow_addition_law(m, i, j):

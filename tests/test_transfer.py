@@ -38,8 +38,14 @@ def test_full_vertex_order_and_arcs():
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_every_vertex_has_an_out_arc(m):
-    d = tr.build_full(m, with_matrix=False)
-    assert all(succ for succ in d.successor_lists())
+    d = tr.build_full(m)
+    assert np.isin(np.arange(len(d)), d.arcs()[1]).all()
+    # without the matrix each vertex v has its arc to the node of outlet(v),
+    # and that node has an arc on to a vertex whose inlet is outlet(v)
+    nodes, src, dst = tr.build_full(m, with_matrix=False).arcs()
+    assert nodes == len(d) + 2**m
+    assert np.isin(np.arange(len(d)), src).all()
+    assert np.isin(dst[src < len(d)], src).all()
 
 
 def test_full_matrix_limit():
@@ -192,12 +198,6 @@ def test_components_m5():
     assert census.zero_id != census.ones_id
 
 
-@pytest.mark.parametrize("m", range(2, 10))
-def test_predecessor_lists_invert_the_successor_lists(m):
-    d = tr.build_reduced(m)
-    assert d.predecessor_lists() == [np.flatnonzero(col).tolist() for col in d.adj.T]
-
-
 def test_components_abort_on_a_one_way_arc():
     # two self-loops joined by an arc 0 -> 1 only: one weak component, two
     # strong ones
@@ -205,6 +205,16 @@ def test_components_abort_on_a_one_way_arc():
     d = tr.TransferDigraph("reduced", 1, ("0", "1"), adj)
     with pytest.raises(AssertionError, match="not strongly connected"):
         tr.components(d)
+    with pytest.raises(AssertionError, match="not strongly connected"):
+        tr.arc_components(2, np.array([0, 0, 1]), np.array([0, 1, 1]))
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_matrix_and_word_arcs_give_one_census(m):
+    # the matrix's arcs and the arcs through binary-word nodes
+    by_matrix = tr.components(tr.build_full(m))
+    by_words = tr.components(tr.build_full(m, with_matrix=False))
+    assert by_matrix == by_words
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])

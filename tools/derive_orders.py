@@ -5,7 +5,9 @@
 Run from the root of a clean checkout.  Each order comes from the
 production engine's certificate (:func:`gridcycles.recurrence.order_report`).
 Writes ``src/gridcycles/data/derived_orders.json`` with this command and the
-commit it ran at; the wall time of each width goes to standard error.
+tree it ran at, named by ``git describe --always --dirty`` (so a modified
+tree reads ``<commit>-dirty``); the wall time of each width goes to standard
+error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ TG_KB_WIDTHS = (6, 7, 8, 9, 10)
 
 def main() -> None:
     commit = subprocess.run(
-        ["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True, check=True
+        ["git", "describe", "--always", "--dirty"], capture_output=True, text=True, check=True
     ).stdout.strip()
     doc = {
         "_comment": "Certified minimal recurrence orders past tables.json: the thin "
