@@ -102,26 +102,23 @@ def is_column_word(word: str) -> bool:
 
 def _column_words(m: int, alphabet: str) -> list[str]:
     """All cyclically up/down-consistent words of length m over ``alphabet``,
-    in lexicographic order."""
+    in lexicographic order.  Depth first over an explicit stack of
+    prefixes, so no recursive closure (a reference cycle) outlives the call."""
     if m < 1:
         raise ValueError(f"word length must be >= 1, got {m}")
+    letters = sorted(alphabet, reverse=True)
+    # the letters that may follow each letter, pushed in reverse so that the
+    # stack pops prefixes in lexicographic order
+    follow = {x: [y for y in letters if ud_arc(x, y)] for x in letters}
     out: list[str] = []
-    letters = sorted(alphabet)
-
-    def extend(prefix: list[str]) -> None:
-        if len(prefix) == m:
-            if ud_arc(prefix[-1], prefix[0]):
-                out.append("".join(prefix))
-            return
-        last = prefix[-1]
-        for ch in letters:
-            if ud_arc(last, ch):
-                prefix.append(ch)
-                extend(prefix)
-                prefix.pop()
-
-    for first in letters:
-        extend([first])
+    stack = letters
+    while stack:
+        word = stack.pop()
+        if len(word) < m:
+            for ch in follow[word[-1]]:
+                stack.append(word + ch)
+        elif ud_arc(word[-1], word[0]):
+            out.append(word)
     return out
 
 

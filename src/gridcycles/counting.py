@@ -21,7 +21,10 @@ Each count has two routes that must agree:
   name the production route for the thin cylinder; ``glued`` applies to
   it alone.
 * ``full`` — walk counts on the full digraph of column words, the
-  independent cross-check.  It always steps and never reads a recurrence.
+  independent cross-check.  A walk's count depends on its ends only
+  through their outlet and inlet classes, so it steps the 2^m × 2^m class
+  matrix of the letter words by the same residue arithmetic, never reads
+  the reduced digraph and never reads a recurrence.
 
 Series values are Python integers (exact).  Engines cache their series per
 width, so asking for more terms or another twist extends earlier work
@@ -59,6 +62,7 @@ from .alphabet import (
     enumerate_column_words,
     horizontal_convert,
     inlet,
+    last_column_words,
     outlet,
     rotate,
 )
@@ -127,28 +131,6 @@ class Series:
         return "".join(f"{n} {decimal_str(v)}\n" for n, v in enumerate(self.values, start=1))
 
 
-class _Engine:
-    """A per-width series cache: ``series[family][p]`` holds the counts for
-    n = 1, 2, ..., and each ``_step`` appends one term to every series."""
-
-    def __init__(self) -> None:
-        self.lock = threading.RLock()
-
-    def values(self, family: str, p: int, terms: int) -> list[int]:
-        with self.lock:
-            return self._extend(family, p, terms)[:terms]
-
-    def term(self, family: str, p: int, n: int) -> int:
-        with self.lock:
-            return self._extend(family, p, n)[n - 1]
-
-    def _extend(self, family: str, p: int, terms: int) -> list[int]:
-        store = self.series[family][p]
-        while len(store) < terms:
-            self._step()
-        return store
-
-
 # a residue engine's first horizon, in terms, is its first request but at
 # most this; later growths add a quarter, or reach a request within this
 _FIRST_HORIZON = 64
@@ -212,10 +194,10 @@ def _reduce(w: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     return w
 
 
-class _ResidueEngine(_Engine):
-    """Walk counts read off residues of M^n e_s modulo word-size primes,
-    stepped until the series are certified, then extended by their
-    recurrences.
+class _ResidueWalk:
+    """Walk counts read off residues of M^n e_s modulo word-size primes;
+    ``series[family][p]`` holds the counts for n = 1, 2, ..., and each
+    step appends one term to every series.
 
     M comes as ``blocks`` (M_b, starts): M_b, as float64, is M restricted
     to rows closed under M, and ``starts`` are the rows s of the block whose
@@ -236,21 +218,10 @@ class _ResidueEngine(_Engine):
     a request within ``_FIRST_HORIZON``.  The old columns still determine
     each M^n e_s exactly, so it is lifted by the same CRT and reduced
     modulo the new primes; no column is stepped twice.
-
-    ``gram`` names the Gram series (see :mod:`gridcycles.recurrence`).  A
-    BM modulo ``PRIMES[0]`` follows its order L, and once 2L + 2 terms are
-    in, each L is tried once as the certificate's bound: L then bounds
-    every series, and a refuted L means stepping on.  The cap is ``size``
-    = |U|, U the rows of the blocks: each series satisfies the
-    characteristic polynomial of M on U, so 2·|U| terms always certify.
-    Once certified, ``recurrences[family][p]`` extends each series, and
-    the blocks, residues and reads are dropped.
     """
 
-    def __init__(
-        self, blocks: list[tuple[np.ndarray, list[int]]], reads: dict, gram: tuple[str, int]
-    ):
-        super().__init__()
+    def __init__(self, blocks: list[tuple[np.ndarray, list[int]]], reads: dict):
+        self.lock = threading.RLock()
         self.blocks, self.reads = blocks, reads
         self.size = sum(len(matrix) for matrix, _ in blocks)
         self.rowmax = max(int(matrix.sum(axis=1).max()) for matrix, _ in blocks)
@@ -267,11 +238,22 @@ class _ResidueEngine(_Engine):
         self.products = [1]  # products[i] = primes[0] ⋯ primes[i - 1]
         self.inverses: list[int] = []  # inverses[i] = 1 / products[i] mod primes[i]
         self.n = self.horizon = 0
-        self.recurrences: dict | None = None
         self.series = {family: [[] for _ in by_p] for family, by_p in reads.items()}
-        self.gram = self.series[gram[0]][gram[1]]
-        self.fit: recurrence.ModularBM | None = recurrence.ModularBM(recurrence.PRIMES[0])
-        self.tried = -1  # the last Gram order tried
+
+    def values(self, family: str, p: int, terms: int) -> list[int]:
+        with self.lock:
+            return self._extend(family, p, terms)[:terms]
+
+    def term(self, family: str, p: int, n: int) -> int:
+        with self.lock:
+            return self._extend(family, p, n)[n - 1]
+
+    def _extend(self, family: str, p: int, terms: int) -> list[int]:
+        store = self.series[family][p]
+        while len(store) < terms:
+            self._walk(terms)
+            self._record()
+        return store
 
     def _grow(self, horizon: int) -> None:
         """Add the primes and columns that terms up to ``horizon`` need,
@@ -328,13 +310,34 @@ class _ResidueEngine(_Engine):
                     cube = v.reshape(len(v), -1, len(self.blocks[b][1]))
                     total += cube[rows, :k, columns].astype(np.int64).sum(axis=0)
                 store.append(self._lift((total % moduli).tolist()))
-        self.fit.add(self.gram[-1])
 
-    def _step(self) -> None:
-        # past certification only: the next term of every series
-        for family, stores in self.series.items():
-            for store, rec in zip(stores, self.recurrences[family]):
-                store.append(rec.next(store))
+
+class _ResidueEngine(_ResidueWalk):
+    """The production engine: a residue walk stepped until its series are
+    certified, then extended by their recurrences.
+
+    ``gram`` names the Gram series (see :mod:`gridcycles.recurrence`).  A
+    BM modulo ``PRIMES[0]`` follows its order L, and once 2L + 2 terms are
+    in, each L is tried once as the certificate's bound: L then bounds
+    every series, and a refuted L means stepping on.  The cap is ``size``
+    = |U|, U the rows of the blocks: each series satisfies the
+    characteristic polynomial of M on U, so 2·|U| terms always certify.
+    Once certified, ``recurrences[family][p]`` extends each series, and
+    the blocks, residues and reads are dropped.
+    """
+
+    def __init__(
+        self, blocks: list[tuple[np.ndarray, list[int]]], reads: dict, gram: tuple[str, int]
+    ):
+        super().__init__(blocks, reads)
+        self.recurrences: dict | None = None
+        self.gram = self.series[gram[0]][gram[1]]
+        self.fit: recurrence.ModularBM | None = recurrence.ModularBM(recurrence.PRIMES[0])
+        self.tried = -1  # the last Gram order tried
+
+    def _record(self) -> None:
+        super()._record()
+        self.fit.add(self.gram[-1])
 
     def _advance(self, terms: float) -> None:
         """Step the series to ``terms`` terms or until they are certified,
@@ -371,7 +374,11 @@ class _ResidueEngine(_Engine):
 
     def _extend(self, family: str, p: int, terms: int) -> list[int]:
         self._advance(terms)
-        return super()._extend(family, p, terms)
+        while len(self.gram) < terms:  # past certification only
+            for name, stores in self.series.items():
+                for store, rec in zip(stores, self.recurrences[name]):
+                    store.append(rec.next(store))
+        return self.series[family][p]
 
     def term(self, family: str, p: int, n: int) -> int:
         with self.lock:
@@ -456,61 +463,45 @@ def _tnc_engine(m: int) -> _ResidueEngine:
     return _ResidueEngine([(glued, [0])], {"tnc": [[(0, zero, zero)]]}, ("tnc", 0))
 
 
-class _FullWalkEngine(_Engine):
-    """Per-width engine for all full-route counts.
+class _FullWalkEngine(_ResidueWalk):
+    """Every full-route count, from the letter words alone: a residue walk
+    that never certifies.
 
-    Walk counts on the full word digraph are grouped by outlet class: two
-    vertices with equal outlet words have identical walk-count rows, so one
-    row per binary class suffices.  The torus/Klein selected sums then pair
-    every vertex y with the class of its rotated (and for the Klein bottle,
-    horizontally converted) image.
+    A walk of n arcs on the word digraph, u → v when outlet(u) = inlet(v),
+    depends on its ends only through outlet(u) and inlet(y), so its count
+    is K_n[outlet(u), inlet(y)] for the 2^m × 2^m class matrix
+    K_n = N^(n-1), N[i, o] the number of words with inlet i and outlet o.
+    One block, Nᵀ, with every class as a start, is walked from K_1 = I,
+    one state behind the terms, and every count is read off K_n:
+    tg(n, p) = sum_y K_n[outlet(rotate(y, p)), inlet(y)], kb the same with
+    horizontally converted images, and the cylinder count tnc(n), the
+    walks b^m → b^m of n + 1 arcs, = sum_y K_n[0, inlet(y)] over the last
+    column words y.
     """
 
     def __init__(self, m: int):
-        super().__init__()
         words = enumerate_column_words(m)
-        self.nv = len(words)
-        self.o_class = [int(outlet(w), 2) for w in words]
-        self.i_class = [int(inlet(w), 2) for w in words]
-        self.b_index = words.index("b" * m)
-        self.sources = {
-            "tg": [[int(outlet(rotate(w, p)), 2) for w in words] for p in range(m)],
-            "kb": [[int(outlet(horizontal_convert(rotate(w, p))), 2) for w in words] for p in range(m)],
+
+        def classes(binary_words) -> np.ndarray:
+            return np.array([int(w, 2) for w in binary_words])
+
+        inlets = classes(map(inlet, words))
+        counts = np.zeros((1 << m, 1 << m))
+        np.add.at(counts, (classes(map(outlet, words)), inlets), 1)
+
+        def read(images) -> list:
+            # sum_y K_n[outlet(image of y), inlet(y)]
+            return [(0, inlets, classes(outlet(x) for x in images))]
+
+        zero = classes(inlet(y) for y in last_column_words(m))
+        reads = {
+            "tnc": [[(0, zero, np.zeros_like(zero))]],
+            "tg": [read(rotate(y, p) for y in words) for p in range(m)],
+            "kb": [read(horizontal_convert(rotate(y, p)) for y in words) for p in range(m)],
         }
-        nclasses = 1 << m
-        # rows of the n-th power of the word adjacency matrix, one per
-        # outlet class (valid for n >= 1); start at n = 1
-        self.rows = [
-            [1 if self.i_class[y] == c else 0 for y in range(self.nv)]
-            for c in range(nclasses)
-        ]
-        self.n = 1
-        # the tnc value f(k) is appended once rows reach k+1
-        self.series = {"tnc": [[]], "tg": [[] for _ in range(m)], "kb": [[] for _ in range(m)]}
-        self._record()
-
-    def _record(self) -> None:
-        rows = self.rows
-        for family, sources in self.sources.items():
-            for src, store in zip(sources, self.series[family]):
-                store.append(sum(rows[src[y]][y] for y in range(self.nv)))
-        if self.n >= 2:
-            # walks b^m -> b^m of length n give the cylinder count at n - 1
-            self.series["tnc"][0].append(rows[self.o_class[self.b_index]][self.b_index])
-
-    def _step(self) -> None:
-        nclasses = len(self.rows)
-        o_class, i_class = self.o_class, self.i_class
-        new_rows = []
-        for row in self.rows:
-            sums = [0] * nclasses
-            for y, val in enumerate(row):
-                if val:
-                    sums[o_class[y]] += val
-            new_rows.append([sums[c] for c in i_class])
-        self.rows = new_rows
-        self.n += 1
-        self._record()
+        super().__init__([(counts, list(range(1 << m)))], reads)
+        self._grow(0)
+        self._record()  # K_1 = I, the first term
 
 
 # engine kind -> (width limit, route name for the limit error)
@@ -519,12 +510,12 @@ _LIMITS = {
     "tnc": (transfer.GLUED_LIMIT, "glued route"),
     "full": (transfer.FULL_MATRIX_LIMIT, "full route"),
 }
-_ENGINES: dict[tuple[str, int], _Engine] = {}
+_ENGINES: dict[tuple[str, int], _ResidueWalk] = {}
 _BUILD_LOCKS: dict[tuple[str, int], threading.Lock] = {}
 _ENGINE_LOCK = threading.Lock()  # guards the two dictionaries, never a build
 
 
-def _engine(kind: str, m: int) -> _Engine:
+def _engine(kind: str, m: int) -> _ResidueWalk:
     limit, route = _LIMITS[kind]
     if m > limit:
         raise ResourceLimitError(f"{route} limited to m <= {limit}, got {m}")
@@ -547,7 +538,7 @@ def _engine(kind: str, m: int) -> _Engine:
     return engine
 
 
-def _route(family: str, m: int, method: str) -> _Engine:
+def _route(family: str, m: int, method: str) -> _ResidueWalk:
     if method not in ("full", "reduced", "glued"):
         raise ValueError(f"unknown method {method!r}")
     if method == "glued" and family != "tnc":

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -84,6 +86,34 @@ def test_enumerate_column_words_small():
 @pytest.mark.parametrize("m", range(1, 11))
 def test_enumerate_column_words_count(m):
     assert len(al.enumerate_column_words(m)) == 3**m + (-1) ** m
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_column_word_lists_are_every_closed_walk_in_order(m):
+    # breadth first over the letters in order: every consistent prefix,
+    # lexicographic, then the ones that close up
+    for letters, words in (
+        ("abcdef", al.enumerate_column_words(m)),
+        ("abc", al.first_column_words(m)),
+        ("bdf", al.last_column_words(m)),
+    ):
+        prefixes = list(letters)
+        for _ in range(m - 1):
+            prefixes = [w + ch for w in prefixes for ch in letters if al.ud_arc(w[-1], ch)]
+        assert words == [w for w in prefixes if al.ud_arc(w[-1], w[0])]
+
+
+def test_column_word_enumeration_leaves_no_reference_cycle():
+    # a cycle would keep each word list alive until the cyclic collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        al.enumerate_column_words(6)
+        al.first_column_words(6)
+        al.last_column_words(6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_column_words_rejects_zero():

@@ -562,6 +562,32 @@ def test_engine_refuses_an_asymmetric_reduced_digraph(monkeypatch):
         ct._trace_engine(4)
 
 
+@pytest.mark.parametrize("m,size", [(2, 10), (3, 26), (4, 82)])
+def test_full_route_matches_word_digraph_powers(m, size):
+    # powers of the word adjacency M[u, v] = [outlet(u) == inlet(v)] in
+    # object dtype, free of both the outlet classes and the residues
+    words = al.enumerate_column_words(m)
+    assert len(words) == size
+    index = {w: i for i, w in enumerate(words)}
+    inlets = [al.inlet(v) for v in words]
+    adj = np.array([[int(al.outlet(u) == i) for i in inlets] for u in words], dtype=object)
+    powers = [adj]  # powers[k] = M^(k + 1)
+    for _ in range(10):
+        powers.append(powers[-1].dot(adj))
+    b = index["b" * m]
+    assert ct.series(GridSpec("tnc", m), 10, method="full").values == [
+        powers[n][b, b] for n in range(1, 11)
+    ]
+    for p in range(m):
+        images = {
+            "tg": [index[al.rotate(y, p)] for y in words],
+            "kb": [index[al.horizontal_convert(al.rotate(y, p))] for y in words],
+        }
+        for family, rows in images.items():
+            expected = [sum(powers[n - 1][rows, range(size)]) for n in range(1, 11)]
+            assert ct.series(GridSpec(family, m, p), 10, method="full").values == expected
+
+
 def test_full_route_never_reads_a_recurrence():
     spec = GridSpec("tnc", 3, 0, 40)
     assert ct.count(spec, method="full") == ct.count(spec)
