@@ -54,8 +54,9 @@ _V_MAP = str.maketrans("abcdef", "dbfaec")
 
 _UP = {k: v.up for k, v in LETTERS.items()}
 _DOWN = {k: v.down for k, v in LETTERS.items()}
-_LEFT = {k: v.left for k, v in LETTERS.items()}
-_RIGHT = {k: v.right for k, v in LETTERS.items()}
+# letter -> "1" if it has a right (resp. left) edge, else "0"
+_OUTLET_MAP = str.maketrans({k: "01"[v.right] for k, v in LETTERS.items()})
+_INLET_MAP = str.maketrans({k: "01"[v.left] for k, v in LETTERS.items()})
 
 
 def ud_arc(x: str, y: str) -> bool:
@@ -86,12 +87,12 @@ def vertical_convert(word: str) -> str:
 
 def outlet(word: str) -> str:
     """Binary word marking the rows whose letter has a right edge."""
-    return "".join("1" if _RIGHT[ch] else "0" for ch in word)
+    return word.translate(_OUTLET_MAP)
 
 
 def inlet(word: str) -> str:
     """Binary word marking the rows whose letter has a left edge."""
-    return "".join("1" if _LEFT[ch] else "0" for ch in word)
+    return word.translate(_INLET_MAP)
 
 
 def is_column_word(word: str) -> bool:

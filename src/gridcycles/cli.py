@@ -93,12 +93,12 @@ class RunReport:
         }
 
 
-def suite_series(max_n: int = 25) -> RunReport:
+def suite_series() -> RunReport:
     """Computed counts against every shipped reference series, plus the
     agreement of the full route with the production route."""
     report = RunReport("series")
     for family, m, p in refdata.series_keys():
-        ref = list(refdata.reference_series(family, m, p))[:max_n]
+        ref = list(refdata.reference_series(family, m, p))[:25]
         got = counting.series(GridSpec(family, m, p), len(ref)).values
         report.add(
             f"series {family} m={m} p={p} n<=25",
@@ -122,7 +122,7 @@ def suite_digraph() -> RunReport:
     report = RunReport("digraph")
     tab = refdata.tables()
     for m in range(2, 11):
-        d = transfer.build_full(m, with_matrix=False)
+        d = transfer.build_full(m)
         report.add(
             f"full digraph vertices m={m}",
             tab["full_vertices"][str(m)],
@@ -339,26 +339,26 @@ def suite_oracle() -> RunReport:
     return report
 
 
-def suite_symmetry(max_n: int = 30) -> RunReport:
+def suite_symmetry() -> RunReport:
     """Torus reflection symmetry in the twist, and the observed Klein-bottle
     twist invariance (odd widths: all twists agree; even widths: twists of
     equal parity agree)."""
     report = RunReport("symmetry")
     for m in range(2, 9):
-        tg = [counting.series(GridSpec("tg", m, p), max_n).values for p in range(m)]
+        tg = [counting.series(GridSpec("tg", m, p), 30).values for p in range(m)]
         report.add(
-            f"torus twist reflection m={m} n<={max_n}",
+            f"torus twist reflection m={m} n<=30",
             True,
             all(tg[p] == tg[m - p] for p in range(1, m)),
             "trace transpose identity",
         )
-        kb = [counting.series(GridSpec("kb", m, p), max_n).values for p in range(m)]
+        kb = [counting.series(GridSpec("kb", m, p), 30).values for p in range(m)]
         if m % 2 == 1:
             invariant = all(v == kb[0] for v in kb)
         else:
             invariant = all(kb[p] == kb[p % 2] for p in range(m))
         report.add(
-            f"klein twist classes m={m} n<={max_n}",
+            f"klein twist classes m={m} n<=30",
             True,
             invariant,
             "observed twist invariance (checked, not assumed)",
@@ -432,7 +432,7 @@ def cmd_series(args) -> int:
 
 def cmd_digraph(args) -> int:
     if args.kind == "full":
-        d = transfer.build_full(args.m, with_matrix=args.dump or None)
+        d = transfer.build_full(args.m, args.dump or args.m <= transfer.FULL_MATRIX_LIMIT)
     elif args.kind == "reduced":
         d = transfer.build_reduced(args.m)
     else:

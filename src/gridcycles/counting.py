@@ -58,14 +58,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import recurrence, transfer
-from .alphabet import (
-    enumerate_column_words,
-    horizontal_convert,
-    inlet,
-    last_column_words,
-    outlet,
-    rotate,
-)
+from .alphabet import enumerate_column_words, horizontal_convert, last_column_words, rotate
 from .exactmat import Spectrum
 from .transfer import ResourceLimitError
 
@@ -411,6 +404,10 @@ def _trace_engine(m: int) -> _ResidueEngine:
     forward = np.sort((src.astype(np.int64) << m) | outlets)
     if not np.array_equal(forward, np.sort((outlets.astype(np.int64) << m) | src)):
         raise AssertionError(f"reduced digraph m={m} is not symmetric")
+    # the reads fold rotation orbits, which needs A·R = R·A: rotated arcs are arcs
+    r_src, r_out = (transfer.rotate_words(x.astype(np.int64), 1, m) for x in (src, outlets))
+    if not np.array_equal(forward, np.sort((r_src << m) | r_out)):
+        raise AssertionError(f"reduced digraph m={m} does not commute with rotation")
     words = np.arange(n_words)
     rotations = np.stack([transfer.rotate_words(words, k, m) for k in range(m)])
     reps = np.flatnonzero(rotations.min(axis=0) == words)
@@ -464,8 +461,9 @@ def _tnc_engine(m: int) -> _ResidueEngine:
 
 
 class _FullWalkEngine(_ResidueWalk):
-    """Every full-route count, from the letter words alone: a residue walk
-    that never certifies.
+    """Every full-route count, from the letter words alone and their
+    classes by :func:`transfer.word_classes`: a residue walk that never
+    certifies.
 
     A walk of n arcs on the word digraph, u → v when outlet(u) = inlet(v),
     depends on its ends only through outlet(u) and inlet(y), so its count
@@ -481,23 +479,19 @@ class _FullWalkEngine(_ResidueWalk):
 
     def __init__(self, m: int):
         words = enumerate_column_words(m)
-
-        def classes(binary_words) -> np.ndarray:
-            return np.array([int(w, 2) for w in binary_words])
-
-        inlets = classes(map(inlet, words))
+        inlets, outlets = transfer.word_classes(words)
         counts = np.zeros((1 << m, 1 << m))
-        np.add.at(counts, (classes(map(outlet, words)), inlets), 1)
+        np.add.at(counts, (outlets, inlets), 1)
 
-        def read(images) -> list:
+        def read(images: list[str]) -> list:
             # sum_y K_n[outlet(image of y), inlet(y)]
-            return [(0, inlets, classes(outlet(x) for x in images))]
+            return [(0, inlets, transfer.word_classes(images)[1])]
 
-        zero = classes(inlet(y) for y in last_column_words(m))
+        zero = transfer.word_classes(last_column_words(m))[0]
         reads = {
             "tnc": [[(0, zero, np.zeros_like(zero))]],
-            "tg": [read(rotate(y, p) for y in words) for p in range(m)],
-            "kb": [read(horizontal_convert(rotate(y, p)) for y in words) for p in range(m)],
+            "tg": [read([rotate(y, p) for y in words]) for p in range(m)],
+            "kb": [read([horizontal_convert(rotate(y, p)) for y in words]) for p in range(m)],
         }
         super().__init__([(counts, list(range(1 << m)))], reads)
         self._grow(0)

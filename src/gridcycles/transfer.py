@@ -15,10 +15,11 @@ Three digraph granularities drive the counting routes:
 
 Every reduced arc comes from :func:`reduced_arcs`; the full digraph and
 :func:`gridcycles.alphabet.count_io_words` are the independent references.
-Components are found by one routine, :func:`arc_components`, over arc
-index arrays: :func:`components` reads them from
-:meth:`TransferDigraph.arcs`, and the torus/Klein engine from
-:func:`reduced_arcs`.
+Letter words become inlet and outlet classes in :func:`word_classes`
+alone.  Components are found by one routine, :func:`arc_components`, over
+arc index arrays: :func:`components` reads them from
+:meth:`TransferDigraph.arcs` (on a full digraph always through binary-word
+nodes, never a matrix), and the torus/Klein engine from :func:`reduced_arcs`.
 
 Digraphs are immutable once built and may be shared across threads.
 Construction is single-threaded.
@@ -26,6 +27,7 @@ Construction is single-threaded.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,14 +54,25 @@ class ResourceLimitError(ValueError):
     """Requested width exceeds the documented practical limit of a method."""
 
 
+def word_classes(words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The inlet and outlet words of equal-length letter words as int64
+    arrays ``(inlets, outlets)``, row j in bit m-1-j: the one place where a
+    letter word becomes class integers."""
+    m = len(words[0]) if words else 0
+    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
+    # the binary words of all the letter words as one string of "0"/"1" bytes
+    codes = (np.frombuffer(f("".join(words)).encode(), np.uint8) for f in (inlet, outlet))
+    return tuple((c.reshape(len(words), m) - ord("0")) @ weights for c in codes)
+
+
 @dataclass(eq=False)
 class TransferDigraph:
     """A vertex list plus arc multiplicities.
 
-    ``adj`` is a dense numpy matrix for reduced/glued digraphs; for full
-    digraphs it is materialised only up to FULL_MATRIX_LIMIT (otherwise
-    ``None``), and :meth:`arcs` joins each vertex to its outlet and inlet
-    binary words instead.
+    ``adj`` is a dense numpy matrix for reduced/glued digraphs; a full
+    digraph holds one only when built with ``with_matrix`` (otherwise
+    ``None``), and its :meth:`arcs` never read it: they join each vertex to
+    its outlet and inlet binary words.
     """
 
     kind: str  # "full" | "reduced" | "glued"
@@ -79,16 +92,16 @@ class TransferDigraph:
 
     def arcs(self) -> tuple[int, np.ndarray, np.ndarray]:
         """``(nodes, src, dst)``: the node count and one (src[i], dst[i])
-        pair per arc, multiplicity ignored.  The nodes are the vertices,
-        except on a full digraph without matrix: there node len(self) + w
-        stands for the binary word w, with the arcs v -> outlet(v) and
+        pair per arc, multiplicity ignored.  On reduced and glued digraphs
+        the nodes are the vertices and the arcs those of the matrix.  On a
+        full digraph, with or without matrix, node len(self) + w stands
+        for the binary word w, with the arcs v -> outlet(v) and
         inlet(u) -> u, so v reaches u through w exactly when v -> u is an
         arc.  Reachability among the vertices is unchanged."""
-        if self.adj is not None:
+        if self.kind != "full":
             return (len(self), *np.nonzero(self.adj))
         n, vertices = len(self), np.arange(len(self))
-        outs = n + np.array([int(outlet(w), 2) for w in self.vertices], dtype=np.int64)
-        ins = n + np.array([int(inlet(w), 2) for w in self.vertices], dtype=np.int64)
+        ins, outs = n + np.array(word_classes(self.vertices))
         return n + (1 << self.m), np.concatenate([vertices, ins]), np.concatenate([outs, vertices])
 
     def to_json_dict(self) -> dict:
@@ -131,27 +144,23 @@ def _check_width(m: int) -> None:
         raise ValueError(f"width must be >= 1, got {m}")
 
 
-def build_full(m: int, with_matrix: bool | None = None) -> TransferDigraph:
+def build_full(m: int, with_matrix: bool = False) -> TransferDigraph:
     """Full transfer digraph on the 3^m + (-1)^m valid column words.
 
     Vertex order: b^m first, then the remaining words lexicographically.
-    The dense arc matrix is built only up to m = FULL_MATRIX_LIMIT (43 MB at
-    m = 8); censuses and walk counts never need it.
+    The dense 0/1 arc matrix (43 MB at m = 8) is built only on request and
+    only up to m = FULL_MATRIX_LIMIT; censuses and walk counts never read
+    it, it serves the matrix dump.
     """
     _check_width(m)
+    if with_matrix and m > FULL_MATRIX_LIMIT:
+        raise ResourceLimitError(f"dense full matrix limited to m <= {FULL_MATRIX_LIMIT}, got {m}")
     words = enumerate_column_words(m)
     bword = "b" * m
     vertices = tuple([bword] + [w for w in words if w != bword])
-    if with_matrix is None:
-        with_matrix = m <= FULL_MATRIX_LIMIT
     adj = None
     if with_matrix:
-        if m > FULL_MATRIX_LIMIT:
-            raise ResourceLimitError(
-                f"dense full matrix limited to m <= {FULL_MATRIX_LIMIT}, got {m}"
-            )
-        outs = np.array([int(outlet(w), 2) for w in vertices])
-        ins = np.array([int(inlet(w), 2) for w in vertices])
+        ins, outs = word_classes(vertices)
         adj = (outs[:, None] == ins[None, :]).astype(np.uint8)
     return TransferDigraph("full", m, vertices, adj)
 
@@ -323,7 +332,9 @@ def components(d: TransferDigraph) -> ComponentCensus:
     """Strongly connected components, which are also the weakly connected
     ones, numbered by their least vertex; :func:`arc_components` finds them
     over :meth:`TransferDigraph.arcs` and raises unless each is strongly
-    connected."""
+    connected.  The components of neither anchor word go largest first,
+    ties to the lower id: vertex orders are lexicographic apart from the
+    anchor words, so that is the component with the lesser least word."""
     least = arc_components(*d.arcs())[: len(d)]
     ids = np.unique(least, return_inverse=True)[1]
     labels, sizes = ids.tolist(), np.bincount(ids).tolist()
@@ -339,13 +350,7 @@ def components(d: TransferDigraph) -> ComponentCensus:
         zero_id = comp_of("0" * d.m)
         ones_id = comp_of("1" * d.m)
     named = {zero_id, ones_id}
-    least_member = {}
-    for i, c in enumerate(labels):
-        if c not in least_member or d.vertices[i] < least_member[c]:
-            least_member[c] = d.vertices[i]
-    rest = [c for c in range(len(sizes)) if c not in named]
-    # largest first; ties broken by the smallest member word
-    rest.sort(key=lambda c: (-sizes[c], least_member[c]))
+    rest = sorted((c for c in range(len(sizes)) if c not in named), key=lambda c: -sizes[c])
     return ComponentCensus(labels, sizes, zero_id, ones_id, rest)
 
 

@@ -46,7 +46,7 @@ def test_criterion_2_digraph_census():
         tab = refdata.tables()
         for m in range(2, 11):
             assert len(al.enumerate_column_words(m)) == 3**m + (-1) ** m
-            full = tr.build_full(m, with_matrix=False)
+            full = tr.build_full(m)
             census = tr.components(full)
             assert census.sizes[census.zero_id] == tab["full_zero_component"][str(m)]
 
@@ -83,7 +83,7 @@ def test_criterion_3_structural_invariants():
             # connected, for both digraph granularities
             d = tr.build_reduced(m)
             census = tr.components(d)
-            tr.components(tr.build_full(m, with_matrix=False))
+            tr.components(tr.build_full(m))
             words = {d.vertices[i] for i in census.members(census.zero_id)}
             for w in words:
                 assert w[::-1] in words and al.rotate(w, 1) in words

@@ -1,4 +1,5 @@
 import gc
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +26,15 @@ def test_outlet_inlet_membership():
     assert {k for k, v in al.LETTERS.items() if v.left} == {"d", "e", "f"}
     assert al.LETTERS["b"].up and al.LETTERS["b"].down
     assert al.LETTERS["e"].left and al.LETTERS["e"].right
+
+
+def test_outlet_and_inlet_read_the_letter_table():
+    # every string over the alphabet, not only column words
+    for k in range(1, 6):
+        for letters in itertools.product(al.LETTER_IDS, repeat=k):
+            word = "".join(letters)
+            assert al.outlet(word) == "".join("1" if al.LETTERS[x].right else "0" for x in word)
+            assert al.inlet(word) == "".join("1" if al.LETTERS[x].left else "0" for x in word)
 
 
 def test_conversion_examples():

@@ -562,6 +562,29 @@ def test_engine_refuses_an_asymmetric_reduced_digraph(monkeypatch):
         ct._trace_engine(4)
 
 
+@pytest.mark.parametrize("m", range(3, 12))
+def test_engine_refuses_a_reduced_digraph_that_breaks_rotation(monkeypatch, m):
+    ct._trace_engine(m)  # the true reduced digraph passes both checks
+    # one arc u -> w dropped with its reverse w -> u keeps A = Aᵀ; with
+    # u = 0..01, not fixed by the rotation R, and w != R·u, the rotated
+    # pair R·u -> R·w keeps its arcs (at m = 2 every arc out of 01 goes
+    # to R·01 = 10, so no such pair exists)
+    real = tr.reduced_arcs
+
+    def dropped(inlets, m):
+        src, outlets = real(inlets, m)
+        u = 1
+        w = outlets[(src == u) & (outlets != tr.rotate_words(u, 1, m))][0]
+        keep = np.ones(len(src), dtype=bool)
+        for a, b in ((u, w), (w, u)):
+            keep[np.flatnonzero((src == a) & (outlets == b))[0]] = False
+        return src[keep], outlets[keep]
+
+    monkeypatch.setattr(tr, "reduced_arcs", dropped)
+    with pytest.raises(AssertionError, match="does not commute with rotation"):
+        ct._trace_engine(m)
+
+
 @pytest.mark.parametrize("m,size", [(2, 10), (3, 26), (4, 82)])
 def test_full_route_matches_word_digraph_powers(m, size):
     # powers of the word adjacency M[u, v] = [outlet(u) == inlet(v)] in

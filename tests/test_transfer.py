@@ -23,11 +23,11 @@ def reindex(d, words):
 
 @pytest.mark.parametrize("m,expected", [(2, 10), (3, 26), (5, 242)])
 def test_full_vertex_counts(m, expected):
-    assert len(tr.build_full(m, with_matrix=False)) == expected
+    assert len(tr.build_full(m)) == expected
 
 
 def test_full_vertex_order_and_arcs():
-    d = tr.build_full(2)
+    d = tr.build_full(2, with_matrix=True)
     assert d.vertices[0] == "bb"
     assert list(d.vertices[1:]) == sorted(d.vertices[1:])
     # arc rule: outlet(v) = inlet(u)
@@ -38,11 +38,11 @@ def test_full_vertex_order_and_arcs():
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_every_vertex_has_an_out_arc(m):
-    d = tr.build_full(m)
-    assert np.isin(np.arange(len(d)), d.arcs()[1]).all()
-    # without the matrix each vertex v has its arc to the node of outlet(v),
-    # and that node has an arc on to a vertex whose inlet is outlet(v)
-    nodes, src, dst = tr.build_full(m, with_matrix=False).arcs()
+    d = tr.build_full(m, with_matrix=True)
+    assert np.isin(np.arange(len(d)), np.nonzero(d.adj)[0]).all()
+    # matrix or not, each vertex v has its arc to the node of outlet(v), and
+    # that node has an arc on to a vertex whose inlet is outlet(v)
+    nodes, src, dst = d.arcs()
     assert nodes == len(d) + 2**m
     assert np.isin(np.arange(len(d)), src).all()
     assert np.isin(dst[src < len(d)], src).all()
@@ -51,6 +51,20 @@ def test_every_vertex_has_an_out_arc(m):
 def test_full_matrix_limit():
     with pytest.raises(tr.ResourceLimitError):
         tr.build_full(9, with_matrix=True)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_full_digraph_holds_no_matrix_by_default(m):
+    assert tr.build_full(m).adj is None
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_word_classes_are_the_binary_inlet_and_outlet_words(m):
+    words = al.enumerate_column_words(m)
+    inlets, outlets = tr.word_classes(words)
+    assert inlets.dtype == outlets.dtype == np.int64
+    assert inlets.tolist() == [int(al.inlet(w), 2) for w in words]
+    assert outlets.tolist() == [int(al.outlet(w), 2) for w in words]
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +225,39 @@ def test_components_abort_on_a_one_way_arc():
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_matrix_and_word_arcs_give_one_census(m):
-    # the matrix's arcs and the arcs through binary-word nodes
-    by_matrix = tr.components(tr.build_full(m))
-    by_words = tr.components(tr.build_full(m, with_matrix=False))
-    assert by_matrix == by_words
+    # the dumped matrix's arcs against the census, which reads the arcs
+    # through binary-word nodes
+    d = tr.build_full(m, with_matrix=True)
+    least = tr.arc_components(len(d), *np.nonzero(d.adj))
+    census = tr.components(d)
+    _, labels, sizes = np.unique(least, return_inverse=True, return_counts=True)
+    assert labels.tolist() == census.labels and sizes.tolist() == census.sizes
+
+
+def least_word_order(d, census):
+    """The components of neither anchor word, largest first, ties to the
+    lesser least member word."""
+    least = {}
+    for word, c in zip(d.vertices, census.labels):
+        least[c] = min(least.get(c, word), word)
+    rest = [c for c in range(census.n_components) if c not in (census.zero_id, census.ones_id)]
+    return sorted(rest, key=lambda c: (-census.sizes[c], least[c]))
+
+
+@pytest.mark.parametrize(
+    "kind,m", [("reduced", m) for m in range(2, 13)] + [("full", m) for m in range(2, 10)]
+)
+def test_rest_components_go_by_size_then_least_word(kind, m):
+    d = tr.build_reduced(m) if kind == "reduced" else tr.build_full(m)
+    census = tr.components(d)
+    assert census.rest_ids == least_word_order(d, census)
+
+
+def test_rest_component_ties_go_to_the_lesser_least_word():
+    # four one-vertex components; 01 and 10 tie in size
+    d = tr.TransferDigraph("reduced", 2, ("00", "01", "10", "11"), np.eye(4, dtype=np.uint8))
+    census = tr.components(d)
+    assert census.rest_ids == least_word_order(d, census) == [1, 2]
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
@@ -241,7 +284,7 @@ def test_odd_components_isomorphic_under_complement(m):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_full_and_reduced_parity_split(m):
-    full_census = tr.components(tr.build_full(m, with_matrix=False))
+    full_census = tr.components(tr.build_full(m))
     assert (full_census.zero_id == full_census.ones_id) == (m % 2 == 0)
 
 
@@ -371,4 +414,4 @@ def test_json_serialization_roundtrip():
     assert doc["vertices"] == list(d.vertices)
     assert doc["adj"] == [int(x) for x in d.adj.reshape(-1)]
     with pytest.raises(tr.ResourceLimitError):
-        tr.build_full(9, with_matrix=False).to_json_dict()
+        tr.build_full(9).to_json_dict()
