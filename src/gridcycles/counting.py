@@ -461,9 +461,8 @@ def _tnc_engine(m: int) -> _ResidueEngine:
 
 
 class _FullWalkEngine(_ResidueWalk):
-    """Every full-route count, from the letter words alone and their
-    classes by :func:`transfer.word_classes`: a residue walk that never
-    certifies.
+    """Every full-route count, from the letter words and their
+    :func:`transfer.word_classes` alone: a residue walk that never certifies.
 
     A walk of n arcs on the word digraph, u → v when outlet(u) = inlet(v),
     depends on its ends only through outlet(u) and inlet(y), so its count

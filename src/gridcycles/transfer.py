@@ -55,14 +55,15 @@ class ResourceLimitError(ValueError):
 
 
 def word_classes(words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The inlet and outlet words of equal-length letter words as int64
-    arrays ``(inlets, outlets)``, row j in bit m-1-j: the one place where a
-    letter word becomes class integers."""
+    """The inlet and outlet classes ``(inlets, outlets)`` of equal-length
+    letter words, as int64 arrays with row j in bit m-1-j."""
     m = len(words[0]) if words else 0
     weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-    # the binary words of all the letter words as one string of "0"/"1" bytes
+    # all the binary words as one "0"/"1" byte string; einsum widens it to
+    # int64 a chunk at a time, where a matmul widens all of it at once
     codes = (np.frombuffer(f("".join(words)).encode(), np.uint8) for f in (inlet, outlet))
-    return tuple((c.reshape(len(words), m) - ord("0")) @ weights for c in codes)
+    bits = (c.reshape(len(words), m) - ord("0") for c in codes)
+    return tuple(np.einsum("ij,j->i", b, weights) for b in bits)
 
 
 @dataclass(eq=False)

@@ -40,8 +40,9 @@ def test_full_vertex_order_and_arcs():
 def test_every_vertex_has_an_out_arc(m):
     d = tr.build_full(m, with_matrix=True)
     assert np.isin(np.arange(len(d)), np.nonzero(d.adj)[0]).all()
-    # matrix or not, each vertex v has its arc to the node of outlet(v), and
-    # that node has an arc on to a vertex whose inlet is outlet(v)
+    # the arcs pass through binary-word nodes even with the matrix held: each
+    # vertex v has its arc to the node of outlet(v), and that node has an arc
+    # on to a vertex whose inlet is outlet(v)
     nodes, src, dst = d.arcs()
     assert nodes == len(d) + 2**m
     assert np.isin(np.arange(len(d)), src).all()
