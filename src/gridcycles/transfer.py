@@ -151,7 +151,7 @@ def build_full(m: int, with_matrix: bool = False) -> TransferDigraph:
     Vertex order: b^m first, then the remaining words lexicographically.
     The dense 0/1 arc matrix (43 MB at m = 8) is built only on request and
     only up to m = FULL_MATRIX_LIMIT; censuses and walk counts never read
-    it, it serves the matrix dump.
+    it, only the ``digraph`` command's dump and stats do.
     """
     _check_width(m)
     if with_matrix and m > FULL_MATRIX_LIMIT:
