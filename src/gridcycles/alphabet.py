@@ -103,24 +103,20 @@ def is_column_word(word: str) -> bool:
 
 def _column_words(m: int, alphabet: str) -> list[str]:
     """All cyclically up/down-consistent words of length m over ``alphabet``,
-    in lexicographic order.  Depth first over an explicit stack of
-    prefixes, so no recursive closure (a reference cycle) outlives the call."""
+    in lexicographic order.  Level by level over the ``follow`` table, so no
+    recursive closure (a reference cycle) outlives the call; the last
+    letter must also lead back to the first, so no unclosed word of length
+    m is kept."""
     if m < 1:
         raise ValueError(f"word length must be >= 1, got {m}")
-    letters = sorted(alphabet, reverse=True)
-    # the letters that may follow each letter, pushed in reverse so that the
-    # stack pops prefixes in lexicographic order
+    letters = sorted(alphabet)
+    if m == 1:
+        return [x for x in letters if ud_arc(x, x)]
     follow = {x: [y for y in letters if ud_arc(x, y)] for x in letters}
-    out: list[str] = []
-    stack = letters
-    while stack:
-        word = stack.pop()
-        if len(word) < m:
-            for ch in follow[word[-1]]:
-                stack.append(word + ch)
-        elif ud_arc(word[-1], word[0]):
-            out.append(word)
-    return out
+    words = letters
+    for _ in range(m - 2):
+        words = [w + y for w in words for y in follow[w[-1]]]
+    return [w + y for w in words for y in follow[w[-1]] if ud_arc(y, w[0])]
 
 
 def enumerate_column_words(m: int) -> list[str]:

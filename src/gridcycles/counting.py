@@ -189,26 +189,27 @@ def _reduce(w: np.ndarray, moduli: np.ndarray) -> np.ndarray:
 
 class _ResidueWalk:
     """Walk counts read off residues of M^n e_s modulo word-size primes;
-    ``series[family][p]`` holds the counts for n = 1, 2, ..., and each
+    ``series[family, p]`` holds the counts for n = 1, 2, ..., and each
     step appends one term to every series.
 
     M comes as ``blocks`` (M_b, starts): M_b, as float64, is M restricted
     to rows closed under M, and ``starts`` are the rows s of the block whose
-    columns M_b^n e_s are walked.  Column i·|starts| + j of a block's
-    residue matrix holds M_b^n e_(starts[j]) mod ``primes[i]``, so a term
-    is one product M_b @ V per block, reduced mod p.  Every prime has
-    rowmax·p <= 2^53, rowmax the greatest row sum of any block, so each
-    partial sum is an integer below 2^53, exact in float64.
+    columns M_b^n e_s are walked.  A block's residue cube has
+    ``residues[b][x, i, j]`` = (M_b^n e_(starts[j]))[x] mod ``primes[i]``,
+    so a term is one product M_b @ V per block, V the cube with its last
+    two axes flattened, reduced mod p.  Every prime has rowmax·p <= 2^53,
+    rowmax the greatest row sum of any block, so each partial sum is an
+    integer below 2^53, exact in float64.
 
-    A series reads ``reads[family][p]``, triples (b, rows, columns): the
+    A series reads ``reads[family, p]``, triples (b, rows, columns): the
     count sums M_b^n[rows[i], starts[columns[i]]] over i, in int64 modulo
     each prime, and is lifted by Garner's CRT over the shortest prefix of
     the primes whose product exceeds weight·rowmax^n, weight the most pairs
     any read sums, since rowmax^n bounds every entry of M^n e_s.
 
-    The columns cover the terms up to ``horizon``: first the first
-    request, at most ``_FIRST_HORIZON``, then a quarter more each time, or
-    a request within ``_FIRST_HORIZON``.  The old columns still determine
+    The cubes cover the terms up to ``horizon``: first the first request,
+    at most ``_FIRST_HORIZON``, then a quarter more each time, or a
+    request within ``_FIRST_HORIZON``.  The old primes still determine
     each M^n e_s exactly, so it is lifted by the same CRT and reduced
     modulo the new primes; no column is stepped twice.
     """
@@ -218,20 +219,18 @@ class _ResidueWalk:
         self.blocks, self.reads = blocks, reads
         self.size = sum(len(matrix) for matrix, _ in blocks)
         self.rowmax = max(int(matrix.sum(axis=1).max()) for matrix, _ in blocks)
-        self.weight = max(
-            sum(len(rows) for _, rows, _ in read) for by_p in reads.values() for read in by_p
-        )
+        self.weight = max(sum(len(rows) for _, rows, _ in read) for read in reads.values())
         if self.rowmax * _prime(0) > 1 << 53 or self.weight * _prime(0) >= 1 << 63:
             raise AssertionError(
                 f"residue arithmetic is not exact at rowmax {self.rowmax}, weight {self.weight}"
             )
-        self.residues = [np.zeros((len(matrix), 0)) for matrix, _ in blocks]
-        self.moduli: list[np.ndarray] = []  # per block, primes[i] for column i·|starts| + j
+        self.residues = [np.zeros((len(matrix), 0, len(starts))) for matrix, starts in blocks]
+        self.moduli = np.zeros((0, 1))  # the primes as one column, for every block
         self.primes: list[int] = []
         self.products = [1]  # products[i] = primes[0] ⋯ primes[i - 1]
         self.inverses: list[int] = []  # inverses[i] = 1 / products[i] mod primes[i]
         self.n = self.horizon = 0
-        self.series = {family: [[] for _ in by_p] for family, by_p in reads.items()}
+        self.series: dict[tuple[str, int], list[int]] = {key: [] for key in reads}
 
     def values(self, family: str, p: int, terms: int) -> list[int]:
         with self.lock:
@@ -242,14 +241,14 @@ class _ResidueWalk:
             return self._extend(family, p, n)[n - 1]
 
     def _extend(self, family: str, p: int, terms: int) -> list[int]:
-        store = self.series[family][p]
+        store = self.series[family, p]
         while len(store) < terms:
             self._walk(terms)
             self._record()
         return store
 
     def _grow(self, horizon: int) -> None:
-        """Add the primes and columns that terms up to ``horizon`` need,
+        """Add the primes and residues that terms up to ``horizon`` need,
         at the current n."""
         old, bound = len(self.primes), self.weight * self.rowmax**horizon
         while self.products[-1] <= bound:
@@ -262,25 +261,25 @@ class _ResidueWalk:
             return
         for b, (matrix, starts) in enumerate(self.blocks):
             v = self.residues[b]
-            # each M^n e_s from the old columns, one prime at a time, its
-            # entries at most rowmax^n < products[old]; e_s at n = 0
+            # each M^n e_s from the old primes, one at a time, its entries
+            # at most rowmax^n < products[old]; e_s at n = 0
             if old:
-                cube = v.reshape(len(v), old, len(starts))
-                vectors = self._lift(cube[:, i].astype(np.int64).astype(object) for i in range(old))
+                vectors = self._lift(v[:, i].astype(np.int64).astype(object) for i in range(old))
             else:
                 vectors = np.zeros((len(matrix), len(starts)), dtype=object)
                 vectors[starts, np.arange(len(starts))] = 1
             new = [(vectors % q).astype(np.float64) for q in self.primes[old:]]
-            self.residues[b] = np.hstack([v, *new])
-        moduli = np.array(self.primes, dtype=np.float64)
-        self.moduli = [np.repeat(moduli, len(starts)) for _, starts in self.blocks]
+            self.residues[b] = np.concatenate([v, np.stack(new, axis=1)], axis=1)
+        self.moduli = np.array(self.primes, dtype=np.float64)[:, None]
 
     def _walk(self, terms: float) -> None:
         """Step every block by one term; ``terms`` is the request."""
         if self.n == self.horizon:
             self._grow(max(self.horizon + self.horizon // 4, min(terms, _FIRST_HORIZON)))
-        for b, ((matrix, _), moduli) in enumerate(zip(self.blocks, self.moduli)):
-            self.residues[b] = _reduce(matrix @ self.residues[b], moduli)
+        for b, (matrix, _) in enumerate(self.blocks):
+            v = self.residues[b]
+            step = (matrix @ v.reshape(len(v), -1)).reshape(v.shape)
+            self.residues[b] = _reduce(step, self.moduli)
         self.n += 1
 
     def _lift(self, residues):
@@ -295,27 +294,24 @@ class _ResidueWalk:
         """Append the current term of every series."""
         k = bisect.bisect_right(self.products, self.weight * self.rowmax**self.n)
         moduli = np.array(self.primes[:k], dtype=np.int64)
-        for family, stores in self.series.items():
-            for read, store in zip(self.reads[family], stores):
-                total = np.zeros(k, dtype=np.int64)
-                for b, rows, columns in read:
-                    v = self.residues[b]
-                    cube = v.reshape(len(v), -1, len(self.blocks[b][1]))
-                    total += cube[rows, :k, columns].astype(np.int64).sum(axis=0)
-                store.append(self._lift((total % moduli).tolist()))
+        for key, read in self.reads.items():
+            total = np.zeros(k, dtype=np.int64)
+            for b, rows, columns in read:
+                total += self.residues[b][rows, :k, columns].astype(np.int64).sum(axis=0)
+            self.series[key].append(self._lift((total % moduli).tolist()))
 
 
 class _ResidueEngine(_ResidueWalk):
     """The production engine: a residue walk stepped until its series are
     certified, then extended by their recurrences.
 
-    ``gram`` names the Gram series (see :mod:`gridcycles.recurrence`).  A
-    BM modulo ``PRIMES[0]`` follows its order L, and once 2L + 2 terms are
-    in, each L is tried once as the certificate's bound: L then bounds
-    every series, and a refuted L means stepping on.  The cap is ``size``
+    ``gram`` keys the Gram series (see :mod:`gridcycles.recurrence`).  A BM
+    modulo ``PRIMES[0]`` follows its order L, and once 2L + 2 terms are in,
+    each L is tried once as the certificate's bound: L then bounds every
+    series, and a refuted L means stepping on.  The cap is ``size``
     = |U|, U the rows of the blocks: each series satisfies the
     characteristic polynomial of M on U, so 2·|U| terms always certify.
-    Once certified, ``recurrences[family][p]`` extends each series, and
+    Once certified, ``recurrences[family, p]`` extends each series, and
     the blocks, residues and reads are dropped.
     """
 
@@ -324,7 +320,7 @@ class _ResidueEngine(_ResidueWalk):
     ):
         super().__init__(blocks, reads)
         self.recurrences: dict | None = None
-        self.gram = self.series[gram[0]][gram[1]]
+        self.gram = self.series[gram]
         self.fit: recurrence.ModularBM | None = recurrence.ModularBM(recurrence.PRIMES[0])
         self.tried = -1  # the last Gram order tried
 
@@ -354,13 +350,11 @@ class _ResidueEngine(_ResidueWalk):
         recurrences.  ``fits`` maps series already certified to their fits;
         equal series share one fit."""
         recurrences = {}
-        for family, stores in self.series.items():
-            recurrences[family] = []
-            for store in stores:
-                key = tuple(store)
-                if key not in fits:
-                    fits[key] = recurrence.certify(store, bound)
-                recurrences[family].append(fits[key])
+        for key, store in self.series.items():
+            values = tuple(store)
+            if values not in fits:
+                fits[values] = recurrence.certify(store, bound)
+            recurrences[key] = fits[values]
         self.recurrences = recurrences
         self.fit = None
         self.blocks = self.residues = self.moduli = self.reads = None
@@ -368,24 +362,23 @@ class _ResidueEngine(_ResidueWalk):
     def _extend(self, family: str, p: int, terms: int) -> list[int]:
         self._advance(terms)
         while len(self.gram) < terms:  # past certification only
-            for name, stores in self.series.items():
-                for store, rec in zip(stores, self.recurrences[name]):
-                    store.append(rec.next(store))
-        return self.series[family][p]
+            for key, store in self.series.items():
+                store.append(self.recurrences[key].next(store))
+        return self.series[family, p]
 
     def term(self, family: str, p: int, n: int) -> int:
         with self.lock:
             self._advance(n)
-            store = self.series[family][p]
+            store = self.series[family, p]
             if n <= len(store):
                 return store[n - 1]
-            return self.recurrences[family][p].term(store, n)
+            return self.recurrences[family, p].term(store, n)
 
     def recurrence(self, family: str, p: int):
         """The certified minimal recurrence of one series."""
         with self.lock:
             self._advance(math.inf)
-            return self.recurrences[family][p]
+            return self.recurrences[family, p]
 
 
 def _trace_engine(m: int) -> _ResidueEngine:
@@ -441,11 +434,11 @@ def _trace_engine(m: int) -> _ResidueEngine:
         return parts
 
     flipped = transfer.reverse_words(reps, m)
-    reads: dict[str, list[list]] = {"tg": [], "kb": []}
+    reads = {}
     for p in range(m):
         kb = np.stack([transfer.rotate_words(flipped, -p - 2 * k, m) for k in range(m)]).T
-        reads["tg"].append(read(np.repeat(rotations[p, reps], sizes)))
-        reads["kb"].append(read(kb[first]))
+        reads["tg", p] = read(np.repeat(rotations[p, reps], sizes))
+        reads["kb", p] = read(kb[first])
     return _ResidueEngine(blocks, reads, ("tg", 0))
 
 
@@ -457,10 +450,10 @@ def _tnc_engine(m: int) -> _ResidueEngine:
     i + j = n.  G is strongly connected, so U is all of G."""
     zero = np.zeros(1, dtype=np.int64)
     glued = transfer.build_glued(m).adj.astype(np.float64)
-    return _ResidueEngine([(glued, [0])], {"tnc": [[(0, zero, zero)]]}, ("tnc", 0))
+    return _ResidueEngine([(glued, [0])], {("tnc", 0): [(0, zero, zero)]}, ("tnc", 0))
 
 
-class _FullWalkEngine(_ResidueWalk):
+def _full_engine(m: int) -> _ResidueWalk:
     """Every full-route count, from the letter words and their
     :func:`transfer.word_classes` alone: a residue walk that never certifies.
 
@@ -475,60 +468,50 @@ class _FullWalkEngine(_ResidueWalk):
     walks b^m → b^m of n + 1 arcs, = sum_y K_n[0, inlet(y)] over the last
     column words y.
     """
+    words = enumerate_column_words(m)
+    inlets, outlets = transfer.word_classes(words)
+    counts = np.zeros((1 << m, 1 << m))
+    np.add.at(counts, (outlets, inlets), 1)
 
-    def __init__(self, m: int):
-        words = enumerate_column_words(m)
-        inlets, outlets = transfer.word_classes(words)
-        counts = np.zeros((1 << m, 1 << m))
-        np.add.at(counts, (outlets, inlets), 1)
+    def read(images: list[str]) -> list:
+        # sum_y K_n[outlet(image of y), inlet(y)]
+        return [(0, inlets, transfer.word_classes(images)[1])]
 
-        def read(images: list[str]) -> list:
-            # sum_y K_n[outlet(image of y), inlet(y)]
-            return [(0, inlets, transfer.word_classes(images)[1])]
-
-        zero = transfer.word_classes(last_column_words(m))[0]
-        reads = {
-            "tnc": [[(0, zero, np.zeros_like(zero))]],
-            "tg": [read([rotate(y, p) for y in words]) for p in range(m)],
-            "kb": [read([horizontal_convert(rotate(y, p)) for y in words]) for p in range(m)],
-        }
-        super().__init__([(counts, list(range(1 << m)))], reads)
-        self._grow(0)
-        self._record()  # K_1 = I, the first term
+    zero = transfer.word_classes(last_column_words(m))[0]
+    reads = {("tnc", 0): [(0, zero, np.zeros_like(zero))]}
+    for p in range(m):
+        reads["tg", p] = read([rotate(y, p) for y in words])
+        reads["kb", p] = read([horizontal_convert(rotate(y, p)) for y in words])
+    engine = _ResidueWalk([(counts, list(range(1 << m)))], reads)
+    engine._grow(0)
+    engine._record()  # K_1 = I, the first term
+    return engine
 
 
-# engine kind -> (width limit, route name for the limit error)
-_LIMITS = {
-    "trace": (TG_KB_REDUCED_LIMIT, "torus/Klein reduced route"),
-    "tnc": (transfer.GLUED_LIMIT, "glued route"),
-    "full": (transfer.FULL_MATRIX_LIMIT, "full route"),
+# engine kind -> (width limit, route name for the limit error, builder)
+_KINDS = {
+    "trace": (TG_KB_REDUCED_LIMIT, "torus/Klein reduced route", _trace_engine),
+    "tnc": (transfer.GLUED_LIMIT, "glued route", _tnc_engine),
+    "full": (transfer.FULL_MATRIX_LIMIT, "full route", _full_engine),
 }
-_ENGINES: dict[tuple[str, int], _ResidueWalk] = {}
-_BUILD_LOCKS: dict[tuple[str, int], threading.Lock] = {}
-_ENGINE_LOCK = threading.Lock()  # guards the two dictionaries, never a build
+# (kind, m) -> [build lock, engine or None].  A slot is made only for a
+# width within its kind's limit (and m >= 2, checked by GridSpec), so there
+# are at most 10 + 17 + 7 = 34: trace m = 2..11, glued m = 2..18, full
+# m = 2..8.  Each engine's series still grow with the terms asked of it.
+_ENGINES: dict[tuple[str, int], list] = {}
+_ENGINE_LOCK = threading.Lock()  # guards _ENGINES, never a build
 
 
 def _engine(kind: str, m: int) -> _ResidueWalk:
-    limit, route = _LIMITS[kind]
+    limit, route, build = _KINDS[kind]
     if m > limit:
         raise ResourceLimitError(f"{route} limited to m <= {limit}, got {m}")
-    key = (kind, m)
     with _ENGINE_LOCK:
-        engine = _ENGINES.get(key)
-        if engine is not None:
-            return engine
-        build_lock = _BUILD_LOCKS.setdefault(key, threading.Lock())
-    with build_lock:
-        with _ENGINE_LOCK:
-            engine = _ENGINES.get(key)
-        if engine is None:
-            build = {"trace": _trace_engine, "tnc": _tnc_engine, "full": _FullWalkEngine}[kind]
-            engine = build(m)
-            with _ENGINE_LOCK:
-                _ENGINES[key] = engine
-                # later requests find the engine, so its build lock can go
-                del _BUILD_LOCKS[key]
-    return engine
+        slot = _ENGINES.setdefault((kind, m), [threading.Lock(), None])
+    with slot[0]:
+        if slot[1] is None:
+            slot[1] = build(m)
+    return slot[1]
 
 
 def _route(family: str, m: int, method: str) -> _ResidueWalk:

@@ -114,7 +114,7 @@ class TransferDigraph:
             "kind": self.kind,
             "m": self.m,
             "vertices": list(self.vertices),
-            "adj": [int(x) for x in self.adj.reshape(-1)],
+            "adj": self.adj.reshape(-1).tolist(),
         }
 
 

@@ -89,10 +89,19 @@ def test_route_limits():
             ct.count_tnc(tr.GLUED_LIMIT + 1, 2, method=method)
 
 
+@pytest.mark.parametrize("kind", sorted(ct._KINDS))
+def test_refused_width_leaves_no_engine_slot(kind, monkeypatch):
+    # widths are checked before a cache slot is made, which bounds the cache
+    monkeypatch.setattr(ct, "_ENGINES", {})
+    with pytest.raises(tr.ResourceLimitError):
+        ct._engine(kind, ct._KINDS[kind][0] + 1)
+    assert ct._ENGINES == {}
+
+
 def test_engine_builds_do_not_serialise_across_widths(monkeypatch):
     # while one width's build blocks, another width's engine still builds,
     # and a second request for the blocked width waits for that one build
-    real = ct._FullWalkEngine
+    limit, route, real = ct._KINDS["full"]
     entered, release = threading.Event(), threading.Event()
     builds = []
 
@@ -104,8 +113,7 @@ def test_engine_builds_do_not_serialise_across_widths(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(ct, "_ENGINES", {})
-    monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
-    monkeypatch.setattr(ct, "_FullWalkEngine", build)
+    monkeypatch.setitem(ct._KINDS, "full", (limit, route, build))
 
     def request(m):
         return threading.Thread(target=ct.count_tnc, args=(m, 2, "full"), daemon=True)
@@ -128,7 +136,7 @@ def test_engine_builds_do_not_serialise_across_widths(monkeypatch):
 
 
 def test_concurrent_requests_build_each_engine_once(monkeypatch):
-    real = ct._tnc_engine
+    limit, route, real = ct._KINDS["tnc"]
     builds = []
 
     def build(m):
@@ -136,8 +144,7 @@ def test_concurrent_requests_build_each_engine_once(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(ct, "_ENGINES", {})
-    monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
-    monkeypatch.setattr(ct, "_tnc_engine", build)
+    monkeypatch.setitem(ct._KINDS, "tnc", (limit, route, build))
     got = []
     threads = [
         threading.Thread(target=lambda m=m: got.append(ct._engine("tnc", m)), daemon=True)
@@ -155,7 +162,7 @@ def test_concurrent_requests_build_each_engine_once(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert sorted(builds) == [2, 3, 4]
     assert len(got) == 12 and len({id(e) for e in got}) == 3
-    assert ct._BUILD_LOCKS == {}
+    assert sorted(ct._ENGINES) == [("tnc", 2), ("tnc", 3), ("tnc", 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +248,6 @@ def test_cylinder_route_at_its_limit(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(ct, "_ENGINES", {})
-    monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
     monkeypatch.setattr(tr, "build_glued", build_glued)
     values = ct.series(GridSpec("tnc", tr.GLUED_LIMIT), 2).values
     g = built[0].adj
@@ -251,7 +257,6 @@ def test_cylinder_route_at_its_limit(monkeypatch):
 def test_trace_engine_never_builds_the_dense_matrix(monkeypatch):
     # the trace engine takes its rows from the arcs alone
     monkeypatch.setattr(ct, "_ENGINES", {})
-    monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
     monkeypatch.setattr(tr, "build_reduced", None)
     for family in ("tg", "kb"):
         for p in range(5):
@@ -413,7 +418,7 @@ def test_count_on_a_fresh_engine_matches_full_route_and_powers(case):
     assert value == _power_count(family, m, p, n)
     gram = rc.order_report("tnc" if family == "tnc" else "tg", m, 0)
     stepped = min(2 * gram + 2, 2 * engine.size)
-    assert len(engine.series[family][p]) == min(n, stepped)
+    assert len(engine.series[family, p]) == min(n, stepped)
     assert (engine.recurrences is not None) == (n >= stepped)
     assert (engine.residues is None) == (n >= stepped)
 
@@ -437,10 +442,9 @@ def _closed_form_term(num, den, n):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_long_count_reads_the_recurrence(m, monkeypatch):
     monkeypatch.setattr(ct, "_ENGINES", {})
-    monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
     assert ct.count_tnc(m, 5000) == _closed_form_term(*TNC_CLOSED_FORMS[m], 5000)
-    engine = ct._ENGINES["tnc", m]
-    assert len(engine.series["tnc"][0]) <= 2 * engine.size
+    engine = ct._ENGINES["tnc", m][1]
+    assert len(engine.series["tnc", 0]) <= 2 * engine.size
     assert engine.blocks is None and engine.residues is None
     # the series goes on from the recurrence and agrees with the count
     assert ct.series(GridSpec("tnc", m), 300).values[-1] == ct.count_tnc(m, 300)
@@ -449,9 +453,8 @@ def test_long_count_reads_the_recurrence(m, monkeypatch):
 def test_certification_drops_vectors_and_keeps_the_series(monkeypatch):
     # tg(n, 0) has order 8 at m = 4: the engine certifies at its 18th term
     monkeypatch.setattr(ct, "_ENGINES", {})
-    monkeypatch.setattr(ct, "_BUILD_LOCKS", {})
     before = {p: ct.series(GridSpec("kb", 4, p), 17).values for p in range(4)}
-    engine = ct._ENGINES["trace", 4]
+    engine = ct._ENGINES["trace", 4][1]
     assert engine.size == 16 and engine.recurrences is None and engine.residues is not None
     after = {p: ct.series(GridSpec("kb", 4, p), 80).values for p in range(4)}
     assert engine.residues is None and engine.recurrences is not None
@@ -467,16 +470,16 @@ def test_engine_steps_to_the_gram_certificate(family, m):
     # 2L + 2 stepped terms certify the Gram series of order L; 2·|U| caps
     engine = ct._tnc_engine(m) if family == "tnc" else ct._trace_engine(m)
     order = engine.recurrence(family, 0).order
-    assert len(engine.series[family][0]) == min(2 * order + 2, 2 * engine.size)
+    assert len(engine.series[family, 0]) == min(2 * order + 2, 2 * engine.size)
     assert engine.residues is None
 
 
 @pytest.mark.parametrize("family,m,stepped", [("tnc", 11, 66), ("tg", 6, 54)])
 def test_residue_columns_grow_without_restepping(family, m, stepped, monkeypatch):
     # one term at a time with a first horizon of at most 16 terms, a fresh
-    # engine adds residue columns several times on the way to its certified
-    # terms; every stepped term is G^n[0, 0] (tr(A^n)) and every column
-    # M_b^n e_s mod its prime
+    # engine adds primes to its residue cubes several times on the way to its
+    # certified terms; every stepped term is G^n[0, 0] (tr(A^n)) and every
+    # slice residues[b][:, i] is M_b^n e_s mod primes[i]
     monkeypatch.setattr(ct, "_FIRST_HORIZON", 16)
     engine = ct._tnc_engine(m) if family == "tnc" else ct._trace_engine(m)
     a = (tr.build_glued(m) if family == "tnc" else tr.build_reduced(m)).adj.astype(object)
@@ -486,11 +489,10 @@ def test_residue_columns_grow_without_restepping(family, m, stepped, monkeypatch
     power, widths = a, set()
     for n in range(1, stepped):
         assert engine.values(family, 0, n)[-1] == count(power)
-        for (matrix, starts), v, residues in zip(blocks, vectors, engine.residues):
+        for v, residues in zip(vectors, engine.residues):
             widths.add(residues.shape[1])
             for i, p in enumerate(engine.primes):
-                column = residues[:, i * len(starts) : (i + 1) * len(starts)]
-                assert column.astype(np.int64).tolist() == (v % p).tolist()
+                assert residues[:, i].astype(np.int64).tolist() == (v % p).tolist()
         vectors = [matrix @ v for (matrix, _), v in zip(blocks, vectors)]
         power = power @ a
     assert engine.values(family, 0, stepped)[-1] == count(power)
@@ -616,4 +618,4 @@ def test_full_route_never_reads_a_recurrence():
     assert ct.count(spec, method="full") == ct.count(spec)
     engine = ct._engine("full", 3)
     assert not hasattr(engine, "recurrences")
-    assert len(engine.series["tnc"][0]) >= 40
+    assert len(engine.series["tnc", 0]) >= 40

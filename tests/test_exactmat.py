@@ -39,11 +39,10 @@ def _layout(m):
 
 def _vectors(engine, m, layout):
     # A^n e_r as a list over all 2^m words for every representative r,
-    # lifted from the residues (every prime of the engine) by its own CRT
+    # lifted from the residue cubes (every prime of the engine) by its own CRT
     vectors = {}
     for (members, reps), v in zip(layout, engine.residues):
-        cube = v.reshape(len(members), len(engine.primes), len(reps)).transpose(1, 0, 2)
-        lifted = engine._lift(cube.astype(np.int64).astype(object))
+        lifted = engine._lift(v.transpose(1, 0, 2).astype(np.int64).astype(object))
         for j, r in enumerate(reps):
             vectors[r] = [0] * (1 << m)
             for x, value in zip(members, lifted[:, j]):
@@ -84,17 +83,17 @@ def test_pow_addition_law(m, i, j):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_cylinder_vector_is_a_power_column(m):
-    # the thin-cylinder engine keeps G^n e_0 modulo each of its primes, one
-    # residue column per prime, and lifts G^n[0, 0] from row 0
+    # the thin-cylinder engine keeps G^n e_0 modulo primes[i] at
+    # residues[0][:, i, 0], and lifts G^n[0, 0] from row 0
     engine = counting._tnc_engine(m)
     g = transfer.build_glued(m).adj.astype(object)
     power = g
     for n in range(1, 7):
         _step_to(engine, n)
         assert len(engine.primes) == engine.residues[0].shape[1] >= 1
-        for p, column in zip(engine.primes, engine.residues[0].T):
+        for p, column in zip(engine.primes, engine.residues[0][:, :, 0].T):
             assert column.astype(np.int64).tolist() == (power[:, 0] % p).tolist()
-        assert engine.series["tnc"][0][n - 1] == power[0, 0]
+        assert engine.series["tnc", 0][n - 1] == power[0, 0]
         power = power @ g
 
 
@@ -125,7 +124,7 @@ def test_short_orbit_reads(m):
                     # the read's pairs (row, start r) within the block of r
                     got = sum(
                         vectors[r][members[x]]
-                        for c, rows, columns in engine.reads[family][p]
+                        for c, rows, columns in engine.reads[family, p]
                         if c == b
                         for x, column in zip(rows.tolist(), columns.tolist())
                         if column == j
