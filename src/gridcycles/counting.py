@@ -393,14 +393,9 @@ def _trace_engine(m: int) -> _ResidueEngine:
     """
     n_words = 1 << m
     src, outlets = transfer.reduced_arcs(np.arange(n_words), m)
-    # tr(A^n), the Gram series, needs A = Aᵀ: the arcs reversed are the arcs
-    forward = np.sort((src.astype(np.int64) << m) | outlets)
-    if not np.array_equal(forward, np.sort((outlets.astype(np.int64) << m) | src)):
-        raise AssertionError(f"reduced digraph m={m} is not symmetric")
-    # the reads fold rotation orbits, which needs A·R = R·A: rotated arcs are arcs
-    r_src, r_out = (transfer.rotate_words(x.astype(np.int64), 1, m) for x in (src, outlets))
-    if not np.array_equal(forward, np.sort((r_src << m) | r_out)):
-        raise AssertionError(f"reduced digraph m={m} does not commute with rotation")
+    # the Gram series tr(A^n) needs A = Aᵀ, the reads A·R = R·A: check every law
+    if faults := transfer.symmetry_faults(src, outlets, m):
+        raise AssertionError(f"reduced digraph m={m} breaks {', '.join(faults)}")
     words = np.arange(n_words)
     rotations = np.stack([transfer.rotate_words(words, k, m) for k in range(m)])
     reps = np.flatnonzero(rotations.min(axis=0) == words)

@@ -5,8 +5,8 @@ Three digraph granularities drive the counting routes:
 * ``full``    — vertices are the valid column words over ``a..f``; there is
   an arc v -> u exactly when outlet(v) = inlet(u).  Arcs are 0/1.
 * ``reduced`` — vertices are all 2^m binary words; the arc u -> w carries
-  the number of column words with inlet u and outlet w (0, 1 or 2).  The
-  matrix is symmetric and its entries sum to 3^m + (-1)^m.
+  the number of column words with inlet u and outlet w (0, 1 or 2).  Its
+  entries sum to 3^m + (-1)^m, and its arcs keep :func:`symmetry_faults`.
 * ``glued``   — vertices are the orbits of one component of the reduced
   digraph (the all-zero one by default) under rotation and reversal,
   reached by one walk over orbit representatives without the dense
@@ -181,6 +181,12 @@ def reduced_arcs(inlets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     chain's temporaries at half the size.  Words carry row j in bit m-1-j;
     widen before shifting a word by m or more bits.
     """
+    # 256 inlets at a time: at m = 12 that peaks at 8.5 MB, all 2^m at once at 23 MB
+    parts = [_arc_chain(inlets[i : i + 256], m) for i in range(0, max(len(inlets), 1), 256)]
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+
+def _arc_chain(inlets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     u = np.repeat(np.asarray(inlets, dtype=np.int32), 2)
     s = s0 = np.tile(np.array([0, 1], dtype=np.int8), len(u) // 2)
     w = np.zeros_like(u)
@@ -222,13 +228,28 @@ def dihedral_least(m: int) -> np.ndarray:
     return least
 
 
-def is_symmetric(a: np.ndarray) -> bool:
-    """a == aᵀ exactly, compared a block of rows at a time so that no
-    boolean temporary of a's full size is formed."""
-    step = max(1, (1 << 20) // max(len(a), 1))
-    return all(
-        np.array_equal(a[i : i + step], a[:, i : i + step].T) for i in range(0, len(a), step)
-    )
+def symmetry_faults(src: np.ndarray, dst: np.ndarray, m: int) -> list[str]:
+    """The laws of the reduced digraph A that the int32 arcs src[i] -> dst[i]
+    break, of "transpose" (A = Aᵀ), "rotation", "reversal" and "complement"
+    (A·X = X·A, X the map).  Each compares the sorted int32 codes src << m | dst
+    (exact while 2m <= 30) with those of the arcs' images, one image at a time."""
+    if m > 15:
+        raise ValueError(f"int32 arc codes hold widths m <= 15, got {m}")
+
+    def code(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        c = (u << m) | w  # numpy reuses the temporary u << m in place
+        c.sort()
+        return c
+
+    codes = code(src, dst)
+    images = {
+        "transpose": lambda: code(dst, src),
+        "rotation": lambda: code(rotate_words(src, 1, m), rotate_words(dst, 1, m)),
+        "reversal": lambda: code(reverse_words(src, m), reverse_words(dst, m)),
+        # u -> ū reverses the order of the codes: no sort needed
+        "complement": lambda: (codes ^ ((1 << 2 * m) - 1))[::-1],
+    }
+    return [law for law, image in images.items() if not np.array_equal(codes, image())]
 
 
 def build_reduced(m: int) -> TransferDigraph:
@@ -241,10 +262,7 @@ def build_reduced(m: int) -> TransferDigraph:
         )
     size = 1 << m
     adj = np.zeros((size, size), dtype=np.uint8)
-    # 256 inlets at a time: the arc chain's temporaries stay small next to
-    # the matrix (all 2^m at once add about 25 MB to the peak at m = 12)
-    for start in range(0, size, 256):
-        np.add.at(adj, reduced_arcs(np.arange(start, min(start + 256, size)), m), 1)
+    np.add.at(adj, reduced_arcs(np.arange(size), m), 1)
     vertices = tuple(format(i, f"0{m}b") for i in range(size))
     return TransferDigraph("reduced", m, vertices, adj)
 
@@ -291,8 +309,7 @@ def build_glued(m: int, root: int = 0) -> TransferDigraph:
     pair = np.concatenate(pairs)
     adj = np.zeros((len(reps), len(reps)), dtype=np.int64)
     adj[index[pair >> m], index[pair & mask]] = np.concatenate(mults)
-    # D·G = Gᵀ·D a block of rows at a time, like is_symmetric, so that no
-    # second full matrix D·G is formed
+    # D·G = Gᵀ·D a block of rows at a time, so that no second D·G is formed
     d, step = np.bincount(least)[reps], max(1, (1 << 20) // len(reps))
     for rows in (slice(i, i + step) for i in range(0, len(reps), step)):
         if not np.array_equal(d[rows, None] * adj[rows], (d[:, None] * adj[:, rows]).T):

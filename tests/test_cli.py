@@ -118,7 +118,7 @@ def test_digraph_suite_builds_each_width_once(monkeypatch):
 
     monkeypatch.setattr(transfer, "build_reduced", build)
     assert cli.suite_digraph().n_failed == 0
-    assert sorted(widths) == list(range(2, 13))
+    assert sorted(widths) == list(range(2, 11))
 
 
 @pytest.mark.parametrize(

@@ -560,7 +560,7 @@ def test_engine_refuses_an_asymmetric_reduced_digraph(monkeypatch):
     # one arc dropped from the reduced digraph breaks A = Aᵀ
     real = tr.reduced_arcs
     monkeypatch.setattr(tr, "reduced_arcs", lambda inlets, m: tuple(a[1:] for a in real(inlets, m)))
-    with pytest.raises(AssertionError, match="not symmetric"):
+    with pytest.raises(AssertionError, match="transpose"):
         ct._trace_engine(4)
 
 
@@ -583,7 +583,7 @@ def test_engine_refuses_a_reduced_digraph_that_breaks_rotation(monkeypatch, m):
         return src[keep], outlets[keep]
 
     monkeypatch.setattr(tr, "reduced_arcs", dropped)
-    with pytest.raises(AssertionError, match="does not commute with rotation"):
+    with pytest.raises(AssertionError, match="rotation"):
         ct._trace_engine(m)
 
 

@@ -120,7 +120,7 @@ def test_reduced_limit():
 
 
 # ---------------------------------------------------------------------------
-# rotation / reversal relations
+# rotation / reversal / complement relations and the digraph laws
 # ---------------------------------------------------------------------------
 
 
@@ -135,6 +135,11 @@ def rotation(d):
 
 def reversal(d):
     return relation(d, lambda w: w[::-1])
+
+
+def complement(w):
+    """The binary word with 0 and 1 swapped."""
+    return w.translate(str.maketrans("01", "10"))
 
 
 def test_rotation_cycle_m4():
@@ -174,6 +179,73 @@ def test_reversal_is_an_automorphism(m):
     d = tr.build_reduced(m)
     perm = reversal(d)
     assert np.array_equal(d.adj[np.ix_(perm, perm)], d.adj)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_complement_is_an_automorphism(m):
+    d = tr.build_reduced(m)
+    perm = relation(d, complement)
+    assert np.array_equal(d.adj[np.ix_(perm, perm)], d.adj)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_reduced_arcs_keep_every_law(m):
+    assert tr.symmetry_faults(*tr.reduced_arcs(np.arange(2**m), m), m) == []
+
+
+def on_both_ends(f):
+    """The arc map that applies the string map f to both ends of an arc
+    between width-m int words."""
+
+    def word(m, x):
+        return int(f(format(x, f"0{m}b")), 2)
+
+    return lambda m, u, w: (word(m, u), word(m, w))
+
+
+ARC_MAPS = {
+    "transpose": lambda m, u, w: (w, u),
+    "rotation": on_both_ends(lambda w: al.rotate(w, 1)),
+    "reversal": on_both_ends(lambda w: w[::-1]),
+    "complement": on_both_ends(complement),
+}
+
+
+def orbit(arc, m, maps):
+    seen, todo = {arc}, [arc]
+    while todo:
+        u, w = todo.pop()
+        for f in maps:
+            image = f(m, u, w)
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
+@pytest.mark.parametrize("m", [5, 6])
+@pytest.mark.parametrize("law", list(ARC_MAPS))
+def test_a_broken_law_is_reported_alone(m, law):
+    # the true arcs minus one copy of each arc in an orbit under the other
+    # three maps keep those three; they break the fourth unless its image of
+    # the orbit is the orbit
+    src, dst = tr.reduced_arcs(np.arange(2**m), m)
+    others = [f for name, f in ARC_MAPS.items() if name != law]
+    for arc in sorted(set(zip(src.tolist(), dst.tolist()))):
+        removed = orbit(arc, m, others)
+        if {ARC_MAPS[law](m, u, w) for u, w in removed} != removed:
+            break
+    else:
+        pytest.fail(f"every orbit is closed under {law} at m={m}")
+    keep = np.ones(len(src), dtype=bool)
+    for u, w in removed:
+        keep[np.flatnonzero((src == u) & (dst == w))[0]] = False
+    assert tr.symmetry_faults(src[keep], dst[keep], m) == [law]
+
+
+def test_symmetry_faults_refuses_widths_past_int32_codes():
+    with pytest.raises(ValueError, match="m <= 15"):
+        tr.symmetry_faults(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32), 16)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
