@@ -430,7 +430,7 @@ def cmd_series(args) -> int:
 
 def cmd_digraph(args) -> int:
     if args.kind == "full":
-        d = transfer.build_full(args.m, args.dump or args.m <= transfer.FULL_MATRIX_LIMIT)
+        d = transfer.build_full(args.m, args.dump)
     elif args.kind == "reduced":
         d = transfer.build_reduced(args.m)
     else:
@@ -440,7 +440,10 @@ def cmd_digraph(args) -> int:
         return 0
     census = transfer.components(d) if args.kind != "glued" else None
     stats: dict = {"kind": d.kind, "m": d.m, "vertices": len(d)}
-    if d.adj is not None:
+    if d.kind == "full":  # the arcs v -> u with outlet(v) = inlet(u), class by class
+        ins, outs = (np.bincount(c, minlength=1 << d.m) for c in transfer.word_classes(d.vertices))
+        stats["multiplicity_total"] = int(outs @ ins)
+    else:
         stats["multiplicity_total"] = int(d.adj.sum(dtype=np.int64))
     if census is not None:
         sizes = sorted(census.sizes, reverse=True)
@@ -479,10 +482,15 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    limits = [(name, f"m <= {limit}") for limit, name in transfer.LIMITS.values()]
+    limits.append(("brute-force oracle", f"<= {oracle.MAX_EDGES} edges"))
     parser = argparse.ArgumentParser(
         prog="gridcycles",
         description="Exact 2-factor enumeration on thin-cylinder, torus and "
         "Klein-bottle grid graphs.",
+        epilog="practical limits (a wider request is refused):\n"
+        + "\n".join(f"  {name}: {limit}" for name, limit in limits),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -38,7 +38,9 @@ recurrences.  2·|U| terms, U the rows it steps, always certify
 terms is read off the recurrence in O(order² log n) big-int products,
 without caching the terms in between.  Each engine is built under its own
 lock and carries another for its steps, so distinct widths can be built
-and driven from different threads at once.
+and driven from different threads at once.  The widths of each engine kind
+(``full``, ``glued``, ``trace``) are its row of :data:`transfer.LIMITS`,
+and the residue primes follow the widest of them.
 
 Every Perron root (the growth rate θ of the thin cylinder, and the
 dominant eigenvalue of each reduced-digraph component) is read off one
@@ -63,15 +65,6 @@ from .exactmat import Spectrum
 from .transfer import ResourceLimitError
 
 FAMILIES = ("tnc", "tg", "kb")
-
-# Documented torus/Klein limit (see README; the full and thin-cylinder
-# routes are capped by transfer.FULL_MATRIX_LIMIT and transfer.GLUED_LIMIT).
-# The trace engine steps float64 residues of A^n e_s, one column per
-# rotation orbit and prime, in two 1024-row blocks at m = 11: there terms
-# 3..20 cost about 0.07 s each, terms 21..100 0.2 s and terms 101..200
-# 0.56 s on one core of a Xeon, as each further prime widens the product.
-TG_KB_REDUCED_LIMIT = 11
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -127,11 +120,9 @@ class Series:
 # a residue engine's first horizon, in terms, is its first request but at
 # most this; later growths add a quarter, or reach a request within this
 _FIRST_HORIZON = 64
-# The residue primes are the greatest primes <= 2^53 / Lucas(18), Lucas(18)
-# = 5778 being rowmax(G) at transfer.GLUED_LIMIT (rowmax(A) at
-# TG_KB_REDUCED_LIMIT is Lucas(11) = 199); each engine checks that its
-# products stay below 2^53.  They are found once per process.
-_PRIME_LIMIT = (1 << 53) // 5778
+# The residue primes are the greatest primes <= _PRIME_LIMIT, set with the
+# engine kinds below; each engine checks that its products stay below 2^53.
+# They are found once per process.
 _PRIMES: list[int] = []  # the primes <= _PRIME_LIMIT found so far, descending
 _PRIMES_LOCK = threading.Lock()
 # Miller–Rabin with these bases decides every n < 3.3·10^24
@@ -174,7 +165,8 @@ def _prime(i: int) -> int:
 def _reduce(w: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     """w mod p column by column, in place, for float64 integers 0 <= w and
     primes p with w < rowmax·p <= 2^53 (about three times faster than
-    ``np.fmod``).  The quotient w/p is below rowmax <= 5778, so
+    ``np.fmod``).  The quotient w/p is below rowmax, at most Lucas at the
+    widest engine row (see ``_PRIME_LIMIT``), so
     q = floor(w·(1/p)) is off by at most one, q·p <= rowmax·p is exact,
     and so is w - q·p in [-p, 2p); one correction each way lands in
     [0, p)."""
@@ -483,29 +475,38 @@ def _full_engine(m: int) -> _ResidueWalk:
     return engine
 
 
-# engine kind -> (width limit, route name for the limit error, builder)
-_KINDS = {
-    "trace": (TG_KB_REDUCED_LIMIT, "torus/Klein reduced route", _trace_engine),
-    "tnc": (transfer.GLUED_LIMIT, "glued route", _tnc_engine),
-    "full": (transfer.FULL_MATRIX_LIMIT, "full route", _full_engine),
-}
+# engine kind -> builder; each kind is the transfer.LIMITS row of its widths
+_KINDS = {"trace": _trace_engine, "glued": _tnc_engine, "full": _full_engine}
+
+
+def _lucas(m: int) -> int:
+    """Lucas(m) = 1, 3, 4, 7, 11, ... for m = 1, 2, ...: the number of
+    first-column words of width m."""
+    a, b = 2, 1  # Lucas(0), Lucas(1)
+    for _ in range(m):
+        a, b = b, a + b
+    return a
+
+
+# Every engine's rowmax is the number of column words with inlet (or
+# outlet) 0^m, Lucas(m), so Lucas at the widest engine row bounds them all
+# and rowmax·p <= 2^53 for every prime p <= _PRIME_LIMIT.
+_PRIME_LIMIT = (1 << 53) // _lucas(max(transfer.LIMITS[kind][0] for kind in _KINDS))
 # (kind, m) -> [build lock, engine or None].  A slot is made only for a
-# width within its kind's limit (and m >= 2, checked by GridSpec), so there
-# are at most 10 + 17 + 7 = 34: trace m = 2..11, glued m = 2..18, full
-# m = 2..8.  Each engine's series still grow with the terms asked of it.
+# width within its kind's row of transfer.LIMITS (and m >= 2, checked by
+# GridSpec), so there are at most Σ (limit - 1) over the engine rows.  Each
+# engine's series still grow with the terms asked of it.
 _ENGINES: dict[tuple[str, int], list] = {}
 _ENGINE_LOCK = threading.Lock()  # guards _ENGINES, never a build
 
 
 def _engine(kind: str, m: int) -> _ResidueWalk:
-    limit, route, build = _KINDS[kind]
-    if m > limit:
-        raise ResourceLimitError(f"{route} limited to m <= {limit}, got {m}")
+    transfer.check_width(kind, m)
     with _ENGINE_LOCK:
         slot = _ENGINES.setdefault((kind, m), [threading.Lock(), None])
     with slot[0]:
         if slot[1] is None:
-            slot[1] = build(m)
+            slot[1] = _KINDS[kind](m)
     return slot[1]
 
 
@@ -514,7 +515,7 @@ def _route(family: str, m: int, method: str) -> _ResidueWalk:
         raise ValueError(f"unknown method {method!r}")
     if method == "glued" and family != "tnc":
         raise ValueError("the glued route applies to the thin cylinder only")
-    kind = "full" if method == "full" else ("tnc" if family == "tnc" else "trace")
+    kind = "full" if method == "full" else ("glued" if family == "tnc" else "trace")
     return _engine(kind, m)
 
 

@@ -21,6 +21,10 @@ arc index arrays: :func:`components` reads them from
 :meth:`TransferDigraph.arcs` (on a full digraph always through binary-word
 nodes, never a matrix), and the torus/Klein engine from :func:`reduced_arcs`.
 
+Every width limit, of these builders and of the counting engines, is one
+row of :data:`LIMITS`, and :func:`check_width` is its one refusal; the
+residue primes of :mod:`gridcycles.counting` follow the widest engine row.
+
 Digraphs are immutable once built and may be shared across threads.
 Construction is single-threaded.
 """
@@ -40,18 +44,35 @@ from .alphabet import (
     outlet,
 )
 
-# Documented practical limits (see README): the dense reduced matrix is
-# 2^m square, the dense full matrix (3^m + (-1)^m) square.  The glued
-# quotient (construction, thin-cylinder counts and their spectrum)
-# generates the arcs out of each orbit representative once; at m = 17 and
-# 18 that takes under a second.
-FULL_MATRIX_LIMIT = 8
-REDUCED_DENSE_LIMIT = 14
-GLUED_LIMIT = 18
+# route -> (greatest width m, the route's name in the README's limits
+# table and in refusals)
+LIMITS = {
+    # the dense (3^m + (-1)^m)-square 0/1 matrix, 43 MB at m = 8, and the
+    # full route's engine over 2^m outlet classes
+    "full": (8, "full digraph walks"),
+    # the dense 2^m-square multiplicity matrix
+    "reduced": (14, "reduced dense matrix"),
+    # the glued quotient generates the arcs out of each orbit representative
+    # once, under a second at m = 17 and 18; its engine steps one dense block
+    "glued": (18, "glued quotient and thin-cylinder counts"),
+    # the trace engine steps float64 residues of A^n e_s, one column per
+    # rotation orbit and prime, in two 1024-row blocks at m = 11: there
+    # terms 3..20 cost about 0.07 s each, terms 21..100 0.2 s and terms
+    # 101..200 0.56 s on one core of a Xeon, as each further prime widens
+    # the product.  It checks symmetry_faults at build, so at most m = 15.
+    "trace": (11, "torus/Klein counts (trace route)"),
+}
 
 
 class ResourceLimitError(ValueError):
     """Requested width exceeds the documented practical limit of a method."""
+
+
+def check_width(route: str, m: int) -> None:
+    """Refuse a width past the route's row of :data:`LIMITS`."""
+    limit, name = LIMITS[route]
+    if m > limit:
+        raise ResourceLimitError(f"{name} limited to m <= {limit}, got {m}")
 
 
 def word_classes(words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -150,12 +171,12 @@ def build_full(m: int, with_matrix: bool = False) -> TransferDigraph:
 
     Vertex order: b^m first, then the remaining words lexicographically.
     The dense 0/1 arc matrix (43 MB at m = 8) is built only on request and
-    only up to m = FULL_MATRIX_LIMIT; censuses and walk counts never read
-    it, only the ``digraph`` command's dump and stats do.
+    only up to the ``full`` row of :data:`LIMITS`; censuses, walk counts and
+    the ``digraph`` command's stats never read it, only its dump does.
     """
     _check_width(m)
-    if with_matrix and m > FULL_MATRIX_LIMIT:
-        raise ResourceLimitError(f"dense full matrix limited to m <= {FULL_MATRIX_LIMIT}, got {m}")
+    if with_matrix:
+        check_width("full", m)
     words = enumerate_column_words(m)
     bword = "b" * m
     vertices = tuple([bword] + [w for w in words if w != bword])
@@ -242,10 +263,13 @@ def symmetry_faults(src: np.ndarray, dst: np.ndarray, m: int) -> list[str]:
         return c
 
     codes = code(src, dst)
+    # each map once over the 2^m words, then looked up at both ends of every arc
+    words = np.arange(1 << m, dtype=np.int32)
+    rot, rev = rotate_words(words, 1, m), reverse_words(words, m)
     images = {
         "transpose": lambda: code(dst, src),
-        "rotation": lambda: code(rotate_words(src, 1, m), rotate_words(dst, 1, m)),
-        "reversal": lambda: code(reverse_words(src, m), reverse_words(dst, m)),
+        "rotation": lambda: code(rot[src], rot[dst]),
+        "reversal": lambda: code(rev[src], rev[dst]),
         # u -> ū reverses the order of the codes: no sort needed
         "complement": lambda: (codes ^ ((1 << 2 * m) - 1))[::-1],
     }
@@ -256,10 +280,7 @@ def build_reduced(m: int) -> TransferDigraph:
     """Reduced transfer digraph on all 2^m binary words, dense multiplicity
     matrix.  Vertex order: 0^m first, then lexicographic (= numeric)."""
     _check_width(m)
-    if m > REDUCED_DENSE_LIMIT:
-        raise ResourceLimitError(
-            f"dense reduced matrix limited to m <= {REDUCED_DENSE_LIMIT}, got {m}"
-        )
+    check_width("reduced", m)
     size = 1 << m
     adj = np.zeros((size, size), dtype=np.uint8)
     np.add.at(adj, reduced_arcs(np.arange(size), m), 1)
@@ -286,8 +307,7 @@ def build_glued(m: int, root: int = 0) -> TransferDigraph:
     the remaining orbits by their least member.
     """
     _check_width(m)
-    if m > GLUED_LIMIT:
-        raise ResourceLimitError(f"glued quotient limited to m <= {GLUED_LIMIT}, got {m}")
+    check_width("glued", m)
     size, mask = 1 << m, (1 << m) - 1
     least = dihedral_least(m)
     start = int(least[root])

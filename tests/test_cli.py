@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gridcycles import cli, counting, refdata, transfer
+from gridcycles import cli, counting, oracle, refdata, transfer
 
 
 def run(capsys, *argv):
@@ -44,9 +44,18 @@ def test_count_rejects_cylinder_twist(capsys):
 
 
 def test_count_resource_limit(capsys):
-    m = str(counting.TG_KB_REDUCED_LIMIT + 1)
+    m = str(transfer.LIMITS["trace"][0] + 1)
     code, _, err = run(capsys, "count", "tg", m, "--n", "2")
     assert code == 1 and "limited" in err
+
+
+def test_help_lists_every_limit(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    out = capsys.readouterr().out
+    for limit, name in transfer.LIMITS.values():
+        assert f"{name}: m <= {limit}\n" in out
+    assert f"brute-force oracle: <= {oracle.MAX_EDGES} edges\n" in out
 
 
 def test_series_formats(capsys):

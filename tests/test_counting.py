@@ -81,12 +81,30 @@ def test_glued_route_is_cylinder_only():
 
 def test_route_limits():
     with pytest.raises(tr.ResourceLimitError):
-        ct.count_tnc(tr.FULL_MATRIX_LIMIT + 1, 2, method="full")
+        ct.count_tnc(tr.LIMITS["full"][0] + 1, 2, method="full")
     with pytest.raises(tr.ResourceLimitError):
-        ct.count_tg(ct.TG_KB_REDUCED_LIMIT + 1, 0, 2)
+        ct.count_tg(tr.LIMITS["trace"][0] + 1, 0, 2)
     for method in ("reduced", "glued"):
         with pytest.raises(tr.ResourceLimitError):
-            ct.count_tnc(tr.GLUED_LIMIT + 1, 2, method=method)
+            ct.count_tnc(tr.LIMITS["glued"][0] + 1, 2, method=method)
+
+
+# one request past each row of the limits table: the builder of a matrix
+# route, a series of each engine route
+_PAST_THE_ROW = {
+    "full": lambda m: ct.series(GridSpec("kb", m), 1, method="full"),
+    "reduced": tr.build_reduced,
+    "glued": lambda m: ct.series(GridSpec("tnc", m), 1),
+    "trace": lambda m: ct.series(GridSpec("tg", m, 1), 1),
+}
+
+
+@pytest.mark.parametrize("route", tr.LIMITS)
+def test_each_route_refuses_one_past_its_row(route):
+    limit, name = tr.LIMITS[route]
+    with pytest.raises(tr.ResourceLimitError) as refusal:
+        _PAST_THE_ROW[route](limit + 1)
+    assert str(refusal.value) == f"{name} limited to m <= {limit}, got {limit + 1}"
 
 
 @pytest.mark.parametrize("kind", sorted(ct._KINDS))
@@ -94,14 +112,20 @@ def test_refused_width_leaves_no_engine_slot(kind, monkeypatch):
     # widths are checked before a cache slot is made, which bounds the cache
     monkeypatch.setattr(ct, "_ENGINES", {})
     with pytest.raises(tr.ResourceLimitError):
-        ct._engine(kind, ct._KINDS[kind][0] + 1)
+        ct._engine(kind, tr.LIMITS[kind][0] + 1)
     assert ct._ENGINES == {}
+
+
+def test_the_trace_row_stays_within_the_symmetry_check():
+    # the trace engine runs symmetry_faults at build, on int32 codes that
+    # hold widths m <= 15
+    assert tr.LIMITS["trace"][0] <= 15
 
 
 def test_engine_builds_do_not_serialise_across_widths(monkeypatch):
     # while one width's build blocks, another width's engine still builds,
     # and a second request for the blocked width waits for that one build
-    limit, route, real = ct._KINDS["full"]
+    real = ct._KINDS["full"]
     entered, release = threading.Event(), threading.Event()
     builds = []
 
@@ -113,7 +137,7 @@ def test_engine_builds_do_not_serialise_across_widths(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(ct, "_ENGINES", {})
-    monkeypatch.setitem(ct._KINDS, "full", (limit, route, build))
+    monkeypatch.setitem(ct._KINDS, "full", build)
 
     def request(m):
         return threading.Thread(target=ct.count_tnc, args=(m, 2, "full"), daemon=True)
@@ -136,7 +160,7 @@ def test_engine_builds_do_not_serialise_across_widths(monkeypatch):
 
 
 def test_concurrent_requests_build_each_engine_once(monkeypatch):
-    limit, route, real = ct._KINDS["tnc"]
+    real = ct._KINDS["glued"]
     builds = []
 
     def build(m):
@@ -144,10 +168,10 @@ def test_concurrent_requests_build_each_engine_once(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(ct, "_ENGINES", {})
-    monkeypatch.setitem(ct._KINDS, "tnc", (limit, route, build))
+    monkeypatch.setitem(ct._KINDS, "glued", build)
     got = []
     threads = [
-        threading.Thread(target=lambda m=m: got.append(ct._engine("tnc", m)), daemon=True)
+        threading.Thread(target=lambda m=m: got.append(ct._engine("glued", m)), daemon=True)
         for m in (2, 3, 4) * 4
     ]
     interval = sys.getswitchinterval()
@@ -162,7 +186,7 @@ def test_concurrent_requests_build_each_engine_once(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert sorted(builds) == [2, 3, 4]
     assert len(got) == 12 and len({id(e) for e in got}) == 3
-    assert sorted(ct._ENGINES) == [("tnc", 2), ("tnc", 3), ("tnc", 4)]
+    assert sorted(ct._ENGINES) == [("glued", 2), ("glued", 3), ("glued", 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +246,11 @@ def test_reduced_and_full_routes_agree(family, m, p, n):
 
 
 @pytest.mark.parametrize("family", ["tg", "kb"])
-def test_trace_route_at_its_limit(family):
+def test_trace_route_at_its_limit(family, shared_build):
     # n = 1, 2 against the dense matrix, by elementwise sums alone:
     # sum_i A[s(i), i] and sum_ij A[s(i), j] A[j, i]
-    m = ct.TG_KB_REDUCED_LIMIT
-    d = tr.build_reduced(m)
+    m = tr.LIMITS["trace"][0]
+    d = shared_build("build_reduced", m)
     a = d.adj.astype(np.int64)
     for p in range(m):
         if family == "tg":
@@ -237,20 +261,15 @@ def test_trace_route_at_its_limit(family):
         assert ct.series(GridSpec(family, m, p), 2).values == expected
 
 
-def test_cylinder_route_at_its_limit(monkeypatch):
+def test_cylinder_route_at_its_limit(shared_build, monkeypatch):
     # n = 1, 2 against the engine's own glued quotient in int64: G[0, 0]
     # and (G G)[0, 0]
-    built = []
-    real = tr.build_glued
-
-    def build_glued(width):
-        built.append(real(width))
-        return built[-1]
-
+    m = tr.LIMITS["glued"][0]
+    glued = shared_build("build_glued", m)
     monkeypatch.setattr(ct, "_ENGINES", {})
-    monkeypatch.setattr(tr, "build_glued", build_glued)
-    values = ct.series(GridSpec("tnc", tr.GLUED_LIMIT), 2).values
-    g = built[0].adj
+    monkeypatch.setattr(tr, "build_glued", lambda width: glued)
+    values = ct.series(GridSpec("tnc", m), 2).values
+    g = glued.adj
     assert values == [int(g[0, 0]), int(g[0] @ g[:, 0])]
 
 
@@ -345,10 +364,12 @@ def test_component_spectra_refuse_a_component_its_orbits_miss():
         ct.component_spectra(d, census)
 
 
-def test_spectrum_at_the_glued_limit():
+def test_spectrum_at_the_glued_limit(shared_build, monkeypatch):
     # the Perron root lies between the least and greatest row sums of G
-    m = tr.GLUED_LIMIT
-    rows = tr.build_glued(m).adj.sum(axis=1)
+    m = tr.LIMITS["glued"][0]
+    glued = shared_build("build_glued", m)
+    monkeypatch.setattr(tr, "build_glued", lambda width: glued)
+    rows = glued.adj.sum(axis=1)
     assert rows.min() <= ct.zero_component_spectrum(m).theta <= rows.max()
 
 
@@ -443,7 +464,7 @@ def _closed_form_term(num, den, n):
 def test_long_count_reads_the_recurrence(m, monkeypatch):
     monkeypatch.setattr(ct, "_ENGINES", {})
     assert ct.count_tnc(m, 5000) == _closed_form_term(*TNC_CLOSED_FORMS[m], 5000)
-    engine = ct._ENGINES["tnc", m][1]
+    engine = ct._ENGINES["glued", m][1]
     assert len(engine.series["tnc", 0]) <= 2 * engine.size
     assert engine.blocks is None and engine.residues is None
     # the series goes on from the recurrence and agrees with the count
@@ -524,6 +545,17 @@ def test_residue_primes_are_prime():
     primes = [ct._prime(i) for i in range(8)]
     assert all(map(ct._is_prime, primes)) and primes == sorted(primes, reverse=True)
     assert primes[0] <= ct._PRIME_LIMIT and 5778 * primes[0] <= 1 << 53
+
+
+def test_prime_limit_follows_the_widest_engine_row():
+    # Lucas(m) counts the first-column words; at the shipped table the widest
+    # engine row is glued m = 18, Lucas(18) = 5778
+    assert [ct._lucas(w) for w in range(1, 19)] == [
+        len(al.first_column_words(w)) for w in range(1, 19)
+    ]
+    widest = max(tr.LIMITS[kind][0] for kind in ct._KINDS)
+    assert ct._PRIME_LIMIT == (1 << 53) // ct._lucas(widest)
+    assert ct._PRIME_LIMIT == (1 << 53) // 5778  # the shipped table: glued m = 18
 
 
 def test_reduction_is_exact_next_to_multiples():

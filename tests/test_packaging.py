@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gridcycles import counting, oracle, transfer
+from gridcycles import oracle, transfer
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,19 +23,15 @@ def test_declared_dependencies_import():
 
 
 def test_readme_limits_match_constants():
+    # the README's limits table, row by row: the rows of transfer.LIMITS, then the oracle's cap
     text = (ROOT / "README.md").read_text()
     table = text.split("## Practical limits", 1)[1].split("\n\n")[2]
-    rows = {}
+    rows = []
     for line in table.splitlines()[2:]:
         route, limit, _ = [cell.strip() for cell in line.strip("|").split("|")]
-        rows[route] = int(re.search(r"\d+", limit).group(0))
-    assert rows == {
-        "full digraph walks": transfer.FULL_MATRIX_LIMIT,
-        "reduced dense matrix": transfer.REDUCED_DENSE_LIMIT,
-        "glued quotient and thin-cylinder counts": transfer.GLUED_LIMIT,
-        "torus/Klein counts (trace route)": counting.TG_KB_REDUCED_LIMIT,
-        "brute-force oracle": oracle.MAX_EDGES,
-    }
+        rows.append((route, int(re.search(r"\d+", limit).group(0))))
+    expected = [(name, limit) for limit, name in transfer.LIMITS.values()]
+    assert rows == expected + [("brute-force oracle", oracle.MAX_EDGES)]
 
 
 def test_readme_layout_lists_every_module():

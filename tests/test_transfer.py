@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -50,8 +51,9 @@ def test_every_vertex_has_an_out_arc(m):
 
 
 def test_full_matrix_limit():
-    with pytest.raises(tr.ResourceLimitError):
-        tr.build_full(9, with_matrix=True)
+    limit, name = tr.LIMITS["full"]
+    with pytest.raises(tr.ResourceLimitError, match=re.escape(name)):
+        tr.build_full(limit + 1, with_matrix=True)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -115,8 +117,9 @@ def test_reduced_symmetry(m):
 
 
 def test_reduced_limit():
-    with pytest.raises(tr.ResourceLimitError):
-        tr.build_reduced(tr.REDUCED_DENSE_LIMIT + 1)
+    limit, name = tr.LIMITS["reduced"]
+    with pytest.raises(tr.ResourceLimitError, match=re.escape(name)):
+        tr.build_reduced(limit + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +441,10 @@ def test_glued_is_balanced_by_orbit_sizes(m):
 
 
 @pytest.mark.parametrize("m", range(11, 18))
-def test_glued_invariants_past_the_dense_census(m):
+def test_glued_invariants_past_the_dense_census(m, shared_build):
     # D·G = Gᵀ·D for D the dihedral orbit sizes, each row of G sums to its
     # representative's out-degree, and the size is the shipped one
-    g = tr.build_glued(m)
+    g = shared_build("build_glued", m)
     reps = [int(w, 2) for w in g.vertices]
     d = np.array(
         [len({al.rotate(x, k) for x in (w, w[::-1]) for k in range(m)}) for w in g.vertices]
@@ -452,15 +455,16 @@ def test_glued_invariants_past_the_dense_census(m):
     assert len(g) == refdata.tables()["glued_vertices"][str(m)]
 
 
-def test_glued_sizes_up_to_the_limit():
+def test_glued_sizes_up_to_the_limit(shared_build):
     tab = refdata.tables()
-    for m in range(15, tr.GLUED_LIMIT + 1):
-        assert len(tr.build_glued(m)) == tab["glued_vertices"][str(m)]
+    for m in range(15, tr.LIMITS["glued"][0] + 1):
+        assert len(shared_build("build_glued", m)) == tab["glued_vertices"][str(m)]
 
 
 def test_glued_limit():
-    with pytest.raises(tr.ResourceLimitError):
-        tr.build_glued(tr.GLUED_LIMIT + 1)
+    limit, name = tr.LIMITS["glued"]
+    with pytest.raises(tr.ResourceLimitError, match=re.escape(name)):
+        tr.build_glued(limit + 1)
 
 
 # ---------------------------------------------------------------------------
