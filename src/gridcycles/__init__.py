@@ -48,7 +48,6 @@ from .transfer import (
     build_full,
     build_glued,
     build_reduced,
-    column_sets,
     components,
     component_subdigraph,
 )

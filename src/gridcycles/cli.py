@@ -23,13 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import counting, oracle, recurrence, refdata, transfer
+from . import alphabet, counting, oracle, recurrence, refdata, transfer
 from .counting import GridSpec
 from .exactmat import amplitude_estimate
 from .transfer import ResourceLimitError
-
-SUITES = ("series", "digraph", "orders", "spectral", "oracle", "symmetry")
-
 
 # ---------------------------------------------------------------------------
 # verification harness
@@ -154,7 +151,7 @@ def suite_digraph() -> RunReport:
         report.add(
             f"reduced multiplicity total m={m}",
             3**m + (-1) ** m,
-            transfer.reduced_edge_total(d),
+            int(d.adj.sum(dtype=np.int64)),
             "refdata table full_vertices",
         )
         ref = tab["reduced_components"][str(m)]
@@ -226,11 +223,10 @@ def suite_digraph() -> RunReport:
             "refdata table glued_vertices",
         )
     for m in range(2, 13):
-        first, last = transfer.column_sets(m)
         report.add(
             f"first/last column sets are Lucas-sized m={m}",
             [tab["lucas"][str(m)]] * 2,
-            [len(first), len(last)],
+            [len(alphabet.first_column_words(m)), len(alphabet.last_column_words(m))],
             "refdata table lucas",
         )
     return report
@@ -272,7 +268,7 @@ def suite_orders() -> RunReport:
     for m, (num, den) in known_gfs.items():
         values = counting.series(GridSpec("tnc", m), 25).values
         gf = recurrence.to_generating_function(
-            values, recurrence.minimal_recurrence(values)
+            values, recurrence.certified_recurrence("tnc", m, 0)
         )
         report.add(
             f"generating function tnc m={m}",
@@ -372,6 +368,7 @@ _SUITE_FUNCS = {
     "oracle": suite_oracle,
     "symmetry": suite_symmetry,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def run_suites(names) -> RunReport:
@@ -495,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_spec_args(p, with_n: bool):
-        p.add_argument("family", choices=("tnc", "tg", "kb"))
+        p.add_argument("family", choices=counting.FAMILIES)
         p.add_argument("m", type=int, help="grid width (number of rows)")
         p.add_argument("--p", type=int, default=None, help="twist (tg/kb only)")
         if with_n:

@@ -27,7 +27,6 @@ class Multigraph:
 
     n_vertices: int
     edges: list[tuple[int, int]]
-    labels: list[tuple[int, int]]  # (row, column), 1-based
 
     def degree_sequence(self) -> list[int]:
         deg = [0] * self.n_vertices
@@ -35,10 +34,6 @@ class Multigraph:
             deg[u] += 1
             deg[v] += 1
         return deg
-
-    def to_edge_list_text(self) -> str:
-        """One 'u v' line per edge, parallel edges repeated."""
-        return "".join(f"{u} {v}\n" for u, v in self.edges)
 
 
 def build_grid(spec: GridSpec) -> Multigraph:
@@ -77,8 +72,7 @@ def build_grid(spec: GridSpec) -> Multigraph:
     elif spec.family == "kb":
         for i in range(1, m + 1):
             edges.append((vid(i, n), vid(m + p + 1 - i, 1)))
-    labels = [(i, j) for j in range(1, n + 1) for i in range(1, m + 1)]
-    return Multigraph(m * n, edges, labels)
+    return Multigraph(m * n, edges)
 
 
 def count_two_factors(g: Multigraph) -> int:

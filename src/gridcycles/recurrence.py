@@ -72,9 +72,6 @@ class Recurrence:
     order: int
     coeffs: list[int]
 
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
-
     def next(self, values: list[int]) -> int:
         """The term after ``values``, which hold at least ``order`` terms."""
         return sum(map(mul, self.coeffs, reversed(values[len(values) - self.order :])))
@@ -118,12 +115,6 @@ class RationalGF:
 
     numerator: list[int]
     denominator: list[int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "numerator": [str(c) for c in self.numerator],
-            "denominator": [str(c) for c in self.denominator],
-        }
 
 
 class ModularBM:

@@ -32,17 +32,11 @@ Construction is single-threaded.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import (
-    enumerate_column_words,
-    first_column_words,
-    inlet,
-    last_column_words,
-    outlet,
-)
+from .alphabet import enumerate_column_words, inlet, outlet
 
 # route -> (greatest width m, the route's name in the README's limits
 # table and in refusals)
@@ -50,6 +44,10 @@ LIMITS = {
     # the dense (3^m + (-1)^m)-square 0/1 matrix, 43 MB at m = 8, and the
     # full route's engine over 2^m outlet classes
     "full": (8, "full digraph walks"),
+    # build_full without a matrix, its census and the digraph command's
+    # stats: the 3^m + (-1)^m words, each width about 3x the time and
+    # memory of the one before
+    "census": (12, "full digraph census"),
     # the dense 2^m-square multiplicity matrix
     "reduced": (14, "reduced dense matrix"),
     # the glued quotient generates the arcs out of each orbit representative
@@ -69,7 +67,9 @@ class ResourceLimitError(ValueError):
 
 
 def check_width(route: str, m: int) -> None:
-    """Refuse a width past the route's row of :data:`LIMITS`."""
+    """Refuse a width below 1 or past the route's row of :data:`LIMITS`."""
+    if m < 1:
+        raise ValueError(f"width must be >= 1, got {m}")
     limit, name = LIMITS[route]
     if m > limit:
         raise ResourceLimitError(f"{name} limited to m <= {limit}, got {m}")
@@ -101,16 +101,9 @@ class TransferDigraph:
     m: int
     vertices: tuple[str, ...]
     adj: np.ndarray | None
-    _index: dict[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._index = {w: i for i, w in enumerate(self.vertices)}
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def index(self, word: str) -> int:
-        return self._index[word]
 
     def arcs(self) -> tuple[int, np.ndarray, np.ndarray]:
         """``(nodes, src, dst)``: the node count and one (src[i], dst[i])
@@ -161,11 +154,6 @@ class ComponentCensus:
         return [i for i, c in enumerate(self.labels) if c == comp_id]
 
 
-def _check_width(m: int) -> None:
-    if m < 1:
-        raise ValueError(f"width must be >= 1, got {m}")
-
-
 def build_full(m: int, with_matrix: bool = False) -> TransferDigraph:
     """Full transfer digraph on the 3^m + (-1)^m valid column words.
 
@@ -173,10 +161,9 @@ def build_full(m: int, with_matrix: bool = False) -> TransferDigraph:
     The dense 0/1 arc matrix (43 MB at m = 8) is built only on request and
     only up to the ``full`` row of :data:`LIMITS`; censuses, walk counts and
     the ``digraph`` command's stats never read it, only its dump does.
+    Without it the words alone are bounded by the ``census`` row.
     """
-    _check_width(m)
-    if with_matrix:
-        check_width("full", m)
+    check_width("full" if with_matrix else "census", m)
     words = enumerate_column_words(m)
     bword = "b" * m
     vertices = tuple([bword] + [w for w in words if w != bword])
@@ -279,7 +266,6 @@ def symmetry_faults(src: np.ndarray, dst: np.ndarray, m: int) -> list[str]:
 def build_reduced(m: int) -> TransferDigraph:
     """Reduced transfer digraph on all 2^m binary words, dense multiplicity
     matrix.  Vertex order: 0^m first, then lexicographic (= numeric)."""
-    _check_width(m)
     check_width("reduced", m)
     size = 1 << m
     adj = np.zeros((size, size), dtype=np.uint8)
@@ -306,7 +292,6 @@ def build_glued(m: int, root: int = 0) -> TransferDigraph:
     Vertex order: orbit of ``root``, then orbit of 1^m when present, then
     the remaining orbits by their least member.
     """
-    _check_width(m)
     check_width("glued", m)
     size, mask = 1 << m, (1 << m) - 1
     least = dihedral_least(m)
@@ -378,15 +363,9 @@ def components(d: TransferDigraph) -> ComponentCensus:
     labels, sizes = ids.tolist(), np.bincount(ids).tolist()
 
     def comp_of(word: str) -> int | None:
-        i = d._index.get(word)
-        return None if i is None else labels[i]
+        return labels[d.vertices.index(word)] if word in d.vertices else None
 
-    if d.kind == "full":
-        zero_id = comp_of("b" * d.m)
-        ones_id = comp_of("e" * d.m)
-    else:
-        zero_id = comp_of("0" * d.m)
-        ones_id = comp_of("1" * d.m)
+    zero_id, ones_id = (comp_of(c * d.m) for c in ("be" if d.kind == "full" else "01"))
     named = {zero_id, ones_id}
     rest = sorted((c for c in range(len(sizes)) if c not in named), key=lambda c: -sizes[c])
     return ComponentCensus(labels, sizes, zero_id, ones_id, rest)
@@ -404,25 +383,10 @@ def component_subdigraph(d: TransferDigraph, census: ComponentCensus, comp_id: i
     idx = census.members(comp_id)
     anchors = ("0" * d.m, "1" * d.m) if d.kind != "full" else ("b" * d.m, "e" * d.m)
     for anchor in anchors:
-        j = d._index.get(anchor)
+        j = d.vertices.index(anchor) if anchor in d.vertices else None
         if j in idx:
             idx.remove(j)
             idx.insert(0, j)
             break
     sub = d.adj[np.ix_(idx, idx)]
     return TransferDigraph(d.kind, d.m, tuple(d.vertices[i] for i in idx), sub)
-
-
-def column_sets(m: int) -> tuple[list[str], list[str]]:
-    """Admissible first-column and last-column words, lexicographic.
-
-    Both lists have Lucas(m) elements (1, 3, 4, 7, 11, ...).
-    """
-    return first_column_words(m), last_column_words(m)
-
-
-def reduced_edge_total(d: TransferDigraph) -> int:
-    """Sum of all multiplicities of a reduced digraph (= 3^m + (-1)^m)."""
-    if d.adj is None:
-        raise ValueError("matrix required")
-    return int(d.adj.sum(dtype=np.int64))

@@ -93,6 +93,7 @@ def test_route_limits():
 # route, a series of each engine route
 _PAST_THE_ROW = {
     "full": lambda m: ct.series(GridSpec("kb", m), 1, method="full"),
+    "census": tr.build_full,
     "reduced": tr.build_reduced,
     "glued": lambda m: ct.series(GridSpec("tnc", m), 1),
     "trace": lambda m: ct.series(GridSpec("tg", m, 1), 1),
@@ -105,6 +106,31 @@ def test_each_route_refuses_one_past_its_row(route):
     with pytest.raises(tr.ResourceLimitError) as refusal:
         _PAST_THE_ROW[route](limit + 1)
     assert str(refusal.value) == f"{name} limited to m <= {limit}, got {limit + 1}"
+
+
+# every builder and engine kind, with the row of the limits table it checks
+_WIDTH_CHECKS = {
+    "build_full": (tr.build_full, "census"),
+    "build_full-matrix": (functools.partial(tr.build_full, with_matrix=True), "full"),
+    "build_reduced": (tr.build_reduced, "reduced"),
+    "build_glued": (tr.build_glued, "glued"),
+    **{f"engine-{kind}": (functools.partial(ct._engine, kind), kind) for kind in ct._KINDS},
+}
+
+
+@pytest.mark.parametrize("caller", _WIDTH_CHECKS)
+def test_every_builder_and_engine_checks_its_width(caller, monkeypatch):
+    monkeypatch.setattr(ct, "_ENGINES", {})
+    build, route = _WIDTH_CHECKS[caller]
+    with pytest.raises(ValueError) as refusal:
+        build(0)
+    assert type(refusal.value) is ValueError
+    assert str(refusal.value) == "width must be >= 1, got 0"
+    limit, name = tr.LIMITS[route]
+    with pytest.raises(tr.ResourceLimitError) as refusal:
+        build(limit + 1)
+    assert str(refusal.value) == f"{name} limited to m <= {limit}, got {limit + 1}"
+    assert ct._ENGINES == {}
 
 
 @pytest.mark.parametrize("kind", sorted(ct._KINDS))
@@ -252,11 +278,12 @@ def test_trace_route_at_its_limit(family, shared_build):
     m = tr.LIMITS["trace"][0]
     d = shared_build("build_reduced", m)
     a = d.adj.astype(np.int64)
+    index = {w: i for i, w in enumerate(d.vertices)}
     for p in range(m):
         if family == "tg":
-            sigma = [d.index(al.rotate(w, p)) for w in d.vertices]
+            sigma = [index[al.rotate(w, p)] for w in d.vertices]
         else:
-            sigma = [d.index(al.rotate(w, p)[::-1]) for w in d.vertices]
+            sigma = [index[al.rotate(w, p)[::-1]] for w in d.vertices]
         expected = [int(a[sigma, range(len(d))].sum()), int((a[sigma] * a.T).sum())]
         assert ct.series(GridSpec(family, m, p), 2).values == expected
 
@@ -307,7 +334,7 @@ def test_first_column_identity(m):
     # closed walks over admissible first columns equal the shifted
     # b^m -> b^m walk count
     words = al.enumerate_column_words(m)
-    first, _ = tr.column_sets(m)
+    first = al.first_column_words(m)
     for n in range(1, 11):
         total = 0
         for w in first:

@@ -138,7 +138,7 @@ def test_power_entry_reproduces_cylinder_counts():
     sub = transfer.component_subdigraph(d, census, census.zero_id)
     a = sub.adj.astype(object)
     assert a.tolist() == N2
-    zero = sub.index("00")
+    zero = sub.vertices.index("00")
     for n in range(1, 12):
         assert np.linalg.matrix_power(a, n)[zero, zero] == counting.count_tnc(2, n)
 

@@ -11,9 +11,15 @@ from gridcycles import refdata
 from gridcycles import transfer as tr
 
 
+def positions(d):
+    """{word: index} over the vertices of d."""
+    return {w: i for i, w in enumerate(d.vertices)}
+
+
 def reindex(d, words):
     """Submatrix of d.adj in the given vertex order."""
-    idx = [d.index(w) for w in words]
+    index = positions(d)
+    idx = [index[w] for w in words]
     return d.adj[np.ix_(idx, idx)].tolist()
 
 
@@ -107,7 +113,7 @@ def test_reduced_m4_zero_component_matrix():
 def test_reduced_counts(m):
     d = tr.build_reduced(m)
     assert len(d) == 2**m
-    assert tr.reduced_edge_total(d) == 3**m + (-1) ** m
+    assert int(d.adj.sum(dtype=np.int64)) == 3**m + (-1) ** m
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -129,7 +135,8 @@ def test_reduced_limit():
 
 def relation(d, fn):
     """Vertex permutation perm[i] = index of fn(v_i)."""
-    return np.array([d.index(fn(v)) for v in d.vertices])
+    index = positions(d)
+    return np.array([index[fn(v)] for v in d.vertices])
 
 
 def rotation(d):
@@ -150,7 +157,7 @@ def test_rotation_cycle_m4():
     rot = rotation(d)
     cycle = ["0011", "0110", "1100", "1001"]
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        assert rot[d.index(a)] == d.index(b)
+        assert rot[d.vertices.index(a)] == d.vertices.index(b)
 
 
 @pytest.mark.parametrize("m", range(2, 11))
@@ -158,7 +165,7 @@ def test_relation_properties(m):
     d = tr.build_reduced(m)
     rot = rotation(d)
     conv = reversal(d)
-    zero, ones = d.index("0" * m), d.index("1" * m)
+    zero, ones = d.vertices.index("0" * m), d.vertices.index("1" * m)
     assert rot[zero] == zero and rot[ones] == ones
     assert conv[zero] == zero and conv[ones] == ones
     # rotation has order dividing m; reversal is an involution
@@ -353,7 +360,8 @@ def test_odd_components_isomorphic_under_complement(m):
     assert census.zero_id != census.ones_id
     zero = census.members(census.zero_id)
     flip = str.maketrans("01", "10")
-    image = [d.index(d.vertices[i].translate(flip)) for i in zero]
+    index = positions(d)
+    image = [index[d.vertices[i].translate(flip)] for i in zero]
     assert sorted(census.labels[i] for i in image) == [census.ones_id] * len(image)
     assert np.array_equal(d.adj[np.ix_(zero, zero)], d.adj[np.ix_(image, image)])
 
@@ -415,13 +423,14 @@ def test_glued_is_the_orbit_quotient_of_the_zero_component(m):
     # reference: the dense census's zero component, split into dihedral
     # orbits, with arcs out of each representative summed per target orbit
     d = tr.build_reduced(m)
+    index = positions(d)
     orbits = {}
     for w in zero_component(d):
         orbit = {al.rotate(x, k) for x in (w, w[::-1]) for k in range(m)}
-        orbits[min(orbit)] = [d.index(y) for y in orbit]
+        orbits[min(orbit)] = [index[y] for y in orbit]
     g = tr.build_glued(m)
     assert sorted(g.vertices) == sorted(orbits)
-    rows = d.adj[[d.index(rep) for rep in g.vertices]].astype(np.int64)
+    rows = d.adj[[index[rep] for rep in g.vertices]].astype(np.int64)
     expected = np.stack([rows[:, orbits[rep]].sum(axis=1) for rep in g.vertices], axis=1)
     assert np.array_equal(g.adj, expected)
 
@@ -473,15 +482,14 @@ def test_glued_limit():
 
 
 def test_column_sets_m2():
-    first, last = tr.column_sets(2)
+    first, last = al.first_column_words(2), al.last_column_words(2)
     assert set(first) == {"bb", "ac", "ca"}
     assert set(last) == {"bb", "df", "fd"}
 
 
 @pytest.mark.parametrize("m,expected", [(4, 7), (10, 123)])
 def test_column_set_sizes(m, expected):
-    first, last = tr.column_sets(m)
-    assert len(first) == len(last) == expected
+    assert len(al.first_column_words(m)) == len(al.last_column_words(m)) == expected
 
 
 def test_json_serialization_roundtrip():
