@@ -194,10 +194,18 @@ class _ResidueWalk:
     integer below 2^53, exact in float64.
 
     A series reads ``reads[family, p]``, triples (b, rows, columns): the
-    count sums M_b^n[rows[i], starts[columns[i]]] over i, in int64 modulo
-    each prime, and is lifted by Garner's CRT over the shortest prefix of
-    the primes whose product exceeds weight·rowmax^n, weight the most pairs
-    any read sums, since rowmax^n bounds every entry of M^n e_s.
+    count sums M_b^n[rows[i], starts[columns[i]]] over i.  At build the
+    reads become one gather per block, ``gathers[b]`` = (rows, columns,
+    bounds), the pairs of every series in ``series`` order with series t's
+    at ``bounds[t]:bounds[t + 1]``.  A term takes one gather per block, a
+    running int64 sum down it and its differences at the bounds (0 for a
+    series with no pairs in the block), so every series is summed modulo
+    each prime at once, then lifted by Garner's CRT over the shortest
+    prefix of the primes whose product exceeds weight·rowmax^n, weight the
+    most pairs any read sums, since rowmax^n bounds every entry of M^n e_s.
+    The running sums stay below 2^63: each block's pair count times the
+    greatest prime is checked at build, like weight (about 2^57.2 at the
+    widest, full m = 8 with 105039 pairs in one block).
 
     The cubes cover the terms up to ``horizon``: first the first request,
     at most ``_FIRST_HORIZON``, then a quarter more each time, or a
@@ -208,13 +216,29 @@ class _ResidueWalk:
 
     def __init__(self, blocks: list[tuple[np.ndarray, list[int]]], reads: dict):
         self.lock = threading.RLock()
-        self.blocks, self.reads = blocks, reads
+        self.blocks = blocks
         self.size = sum(len(matrix) for matrix, _ in blocks)
         self.rowmax = max(int(matrix.sum(axis=1).max()) for matrix, _ in blocks)
-        self.weight = max(sum(len(rows) for _, rows, _ in read) for read in reads.values())
-        if self.rowmax * _prime(0) > 1 << 53 or self.weight * _prime(0) >= 1 << 63:
+        # one pass over the reads: each block's (rows, columns) parts in
+        # series order, and counts[b, t] the pairs of series t in block b
+        empty = np.zeros(0, dtype=np.int64)
+        parts = [([empty], [empty]) for _ in blocks]
+        counts = np.zeros((len(blocks), len(reads) + 1), dtype=np.int64)
+        for t, read in enumerate(reads.values(), start=1):
+            for b, rows, columns in read:
+                parts[b][0].append(rows)
+                parts[b][1].append(columns)
+                counts[b, t] += len(rows)
+        self.gathers = [
+            (np.concatenate(rows, dtype=np.int64), np.concatenate(columns, dtype=np.int64), bounds)
+            for (rows, columns), bounds in zip(parts, np.cumsum(counts, axis=1))
+        ]
+        self.weight = int(counts.sum(axis=0).max())
+        pairs = int(counts.sum(axis=1).max())
+        if self.rowmax * _prime(0) > 1 << 53 or max(self.weight, pairs) * _prime(0) >= 1 << 63:
             raise AssertionError(
-                f"residue arithmetic is not exact at rowmax {self.rowmax}, weight {self.weight}"
+                f"residue arithmetic is not exact at rowmax {self.rowmax}, "
+                f"weight {self.weight}, block pairs {pairs}"
             )
         self.residues = [np.zeros((len(matrix), 0, len(starts))) for matrix, starts in blocks]
         self.moduli = np.zeros((0, 1))  # the primes as one column, for every block
@@ -285,12 +309,14 @@ class _ResidueWalk:
     def _record(self) -> None:
         """Append the current term of every series."""
         k = bisect.bisect_right(self.products, self.weight * self.rowmax**self.n)
-        moduli = np.array(self.primes[:k], dtype=np.int64)
-        for key, read in self.reads.items():
-            total = np.zeros(k, dtype=np.int64)
-            for b, rows, columns in read:
-                total += self.residues[b][rows, :k, columns].astype(np.int64).sum(axis=0)
-            self.series[key].append(self._lift((total % moduli).tolist()))
+        total = np.zeros((len(self.series), k), dtype=np.int64)
+        for v, (rows, columns, bounds) in zip(self.residues, self.gathers):
+            running = np.zeros((len(rows) + 1, k), dtype=np.int64)
+            np.cumsum(v[rows, :k, columns], axis=0, dtype=np.int64, out=running[1:])
+            total += running[bounds[1:]] - running[bounds[:-1]]
+        total %= np.array(self.primes[:k], dtype=np.int64)
+        for store, residues in zip(self.series.values(), total.tolist()):
+            store.append(self._lift(residues))
 
 
 class _ResidueEngine(_ResidueWalk):
@@ -304,7 +330,7 @@ class _ResidueEngine(_ResidueWalk):
     = |U|, U the rows of the blocks: each series satisfies the
     characteristic polynomial of M on U, so 2·|U| terms always certify.
     Once certified, ``recurrences[family, p]`` extends each series, and
-    the blocks, residues and reads are dropped.
+    the blocks, residues and gathers are dropped.
     """
 
     def __init__(
@@ -349,7 +375,7 @@ class _ResidueEngine(_ResidueWalk):
             recurrences[key] = fits[values]
         self.recurrences = recurrences
         self.fit = None
-        self.blocks = self.residues = self.moduli = self.reads = None
+        self.blocks = self.residues = self.moduli = self.gathers = None
 
     def _extend(self, family: str, p: int, terms: int) -> list[int]:
         self._advance(terms)

@@ -1,8 +1,13 @@
 import decimal
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridcycles
 from gridcycles import cli, counting, oracle, refdata, transfer
 
 
@@ -56,6 +61,24 @@ def test_help_lists_every_limit(capsys):
     for limit, name in transfer.LIMITS.values():
         assert f"{name}: m <= {limit}\n" in out
     assert f"brute-force oracle: <= {oracle.MAX_EDGES} edges\n" in out
+
+
+def test_python_m_runs_the_cli(capsys, monkeypatch):
+    # `python -m gridcycles --help` from a child process prints what
+    # cli.main(["--help"]) prints; both wrap the help at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    src = str(Path(gridcycles.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "gridcycles", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "COLUMNS": "80", "PYTHONPATH": path},
+        check=True,
+    )
+    assert child.stdout == capsys.readouterr().out
 
 
 def test_series_formats(capsys):

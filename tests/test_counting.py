@@ -559,6 +559,63 @@ def test_first_horizon_follows_the_first_request(family, m):
     assert engine.products[-2] <= bound < engine.products[-1]
 
 
+def test_gathered_reads_match_exact_sums(monkeypatch):
+    # a walk of two blocks whose gathers hold every layout at once: one
+    # series spans both blocks, and block 0 has empty segments at the
+    # start, the middle and the end of its gather; 120 terms at rowmax 5
+    # need several growths of the primes
+    grows, grow = [], ct._ResidueWalk._grow
+
+    def counted(walk, horizon):
+        old = len(walk.primes)
+        grow(walk, horizon)
+        grows.append(len(walk.primes) - old)
+
+    monkeypatch.setattr(ct._ResidueWalk, "_grow", counted)
+    m0 = [[1, 2, 0], [1, 1, 1], [0, 3, 2]]
+    m1 = [[2, 1], [1, 3]]
+    blocks = [(np.array(m0, dtype=np.float64), [0, 2]), (np.array(m1, dtype=np.float64), [1])]
+    # (block, rows, columns) parts: the count sums M_b^n[rows[i], starts[columns[i]]]
+    pairs = {
+        ("a", 0): [(1, [0, 1], [0, 0])],
+        ("a", 1): [(0, [2, 0, 2], [1, 0, 1]), (1, [1], [0])],
+        ("a", 2): [(1, [1, 1], [0, 0])],
+        ("a", 3): [(0, [1], [0])],
+        ("a", 4): [(0, [0, 1, 2], [1, 1, 1])],
+        ("a", 5): [(1, [0], [0])],
+    }
+    reads = {
+        key: [(b, np.array(rows), np.array(columns)) for b, rows, columns in parts]
+        for key, parts in pairs.items()
+    }
+    walk = ct._ResidueWalk(blocks, reads)
+    assert walk.gathers[0][2].tolist() == [0, 0, 3, 3, 4, 7, 7]
+    terms = 120
+    walk.values("a", 5, terms)
+    assert grows[0] and sum(1 for added in grows[1:] if added) >= 2
+    matrices = [np.array(m0, dtype=object), np.array(m1, dtype=object)]
+    # M_b^n e_s, one column per start, from n = 0
+    vectors = [np.eye(len(a), dtype=object)[:, starts] for a, (_, starts) in zip(matrices, blocks)]
+    for n in range(1, terms + 1):
+        vectors = [a @ v for a, v in zip(matrices, vectors)]
+        for key, parts in pairs.items():
+            expected = sum(
+                vectors[b][x, j] for b, rows, columns in parts for x, j in zip(rows, columns)
+            )
+            assert walk.series[key][n - 1] == expected
+
+
+def test_walk_refuses_gathers_whose_running_sums_overflow(monkeypatch):
+    # with the prime at 2^53, two series of 600 pairs each stay below 2^63
+    # (600 < 2^10), but their 1200 pairs in one block's running sum do not
+    monkeypatch.setattr(ct, "_prime", lambda i: 1 << 53)
+    blocks = [(np.ones((1, 1)), [0])]
+    read = [(0, np.zeros(600, dtype=np.int64), np.zeros(600, dtype=np.int64))]
+    assert ct._ResidueWalk(blocks, {("a", 0): read}).weight == 600
+    with pytest.raises(AssertionError, match="block pairs 1200"):
+        ct._ResidueWalk(blocks, {("a", 0): read, ("a", 1): read})
+
+
 def test_residue_primes_are_prime():
     # Miller–Rabin agrees with a sieve, refuses strong pseudoprimes to the
     # first four and the first nine prime bases, and the engine's primes

@@ -121,12 +121,13 @@ def test_short_orbit_reads(m):
                     expected = sum(
                         power[words.index(source(w, p)), words.index(w)] for w in orbit
                     )
-                    # the read's pairs (row, start r) within the block of r
+                    # the read's pairs (row, start r) in the gather of r's block
+                    rows, columns, bounds = engine.gathers[b]
+                    t = list(engine.series).index((family, p))
+                    pairs = slice(bounds[t], bounds[t + 1])
                     got = sum(
                         vectors[r][members[x]]
-                        for c, rows, columns in engine.reads[family, p]
-                        if c == b
-                        for x, column in zip(rows.tolist(), columns.tolist())
+                        for x, column in zip(rows[pairs].tolist(), columns[pairs].tolist())
                         if column == j
                     )
                     assert got == expected
