@@ -312,8 +312,11 @@ class _ResidueWalk:
         total = np.zeros((len(self.series), k), dtype=np.int64)
         for v, (rows, columns, bounds) in zip(self.residues, self.gathers):
             running = np.zeros((len(rows) + 1, k), dtype=np.int64)
-            np.cumsum(v[rows, :k, columns], axis=0, dtype=np.int64, out=running[1:])
-            total += running[bounds[1:]] - running[bounds[:-1]]
+            np.add.accumulate(v[rows, :k, columns], axis=0, dtype=np.int64, out=running[1:])
+            # differences of the running sum give 0 for an empty segment,
+            # where np.add.reduceat would return the next element
+            ends = running.take(bounds, axis=0)
+            total += ends[1:] - ends[:-1]
         total %= np.array(self.primes[:k], dtype=np.int64)
         for store, residues in zip(self.series.values(), total.tolist()):
             store.append(self._lift(residues))
