@@ -220,7 +220,8 @@ class _ResidueWalk:
         self.size = sum(len(matrix) for matrix, _ in blocks)
         self.rowmax = max(int(matrix.sum(axis=1).max()) for matrix, _ in blocks)
         # one pass over the reads: each block's (rows, columns) parts in
-        # series order, and counts[b, t] the pairs of series t in block b
+        # series order, and counts[b, t + 1] the pairs of series t in block
+        # b, so that the running sums of row b are the bounds of block b
         empty = np.zeros(0, dtype=np.int64)
         parts = [([empty], [empty]) for _ in blocks]
         counts = np.zeros((len(blocks), len(reads) + 1), dtype=np.int64)
