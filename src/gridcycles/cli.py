@@ -438,7 +438,7 @@ def cmd_digraph(args) -> int:
     census = transfer.components(d) if args.kind != "glued" else None
     stats: dict = {"kind": d.kind, "m": d.m, "vertices": len(d)}
     if d.kind == "full":  # the arcs v -> u with outlet(v) = inlet(u), class by class
-        ins, outs = (np.bincount(c, minlength=1 << d.m) for c in transfer.word_classes(d.vertices))
+        ins, outs = (np.bincount(c, minlength=1 << d.m) for c in d.classes)
         stats["multiplicity_total"] = int(outs @ ins)
     else:
         stats["multiplicity_total"] = int(d.adj.sum(dtype=np.int64))

@@ -23,7 +23,8 @@ Each count has two routes that must agree:
 * ``full`` — walk counts on the full digraph of column words, the
   independent cross-check.  A walk's count depends on its ends only
   through their outlet and inlet classes, so it steps the 2^m × 2^m class
-  matrix of the letter words by the same residue arithmetic, never reads
+  matrix of the letter words by the same residue arithmetic and reads
+  each term over the 2^m outlet classes of the last word; it never reads
   the reduced digraph and never reads a recurrence.
 
 Series values are Python integers (exact).  Engines cache their series per
@@ -60,7 +61,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import recurrence, transfer
-from .alphabet import enumerate_column_words, horizontal_convert, last_column_words, rotate
+from .alphabet import enumerate_column_words, horizontal_convert, rotate
 from .exactmat import Spectrum
 from .transfer import ResourceLimitError
 
@@ -204,8 +205,8 @@ class _ResidueWalk:
     prefix of the primes whose product exceeds weight·rowmax^n, weight the
     most pairs any read sums, since rowmax^n bounds every entry of M^n e_s.
     The running sums stay below 2^63: each block's pair count times the
-    greatest prime is checked at build, like weight (about 2^57.2 at the
-    widest, full m = 8 with 105039 pairs in one block).
+    greatest prime is checked at build, like weight (about 2^55 at the
+    widest, trace m = 11 with 22528 pairs in one block).
 
     The cubes cover the terms up to ``horizon``: first the first request,
     at most ``_FIRST_HORIZON``, then a quarter more each time, or a
@@ -479,30 +480,34 @@ def _full_engine(m: int) -> _ResidueWalk:
     is K_n[outlet(u), inlet(y)] for the 2^m × 2^m class matrix
     K_n = N^(n-1), N[i, o] the number of words with inlet i and outlet o.
     One block, Nᵀ, with every class as a start, is walked from K_1 = I,
-    one state behind the terms, and every count is read off K_n:
-    tg(n, p) = sum_y K_n[outlet(rotate(y, p)), inlet(y)], kb the same with
-    horizontally converted images, and the cylinder count tnc(n), the
-    walks b^m → b^m of n + 1 arcs, = sum_y K_n[0, inlet(y)] over the last
-    column words y.
+    and term n is read off K_(n+1) = K_n·N, which sums over the last word
+    y by its outlet class o.  The outlet class of a word's image under the
+    twist, σ_p(o), depends on the word only through o (checked), so
+    tg(n, p) = sum_o K_(n+1)[σ_p(o), o] with σ_p from rotation, kb the same
+    with horizontally converted images, and the cylinder count tnc(n), the
+    walks b^m → b^m of n + 1 arcs, = K_(n+1)[0, 0]: the words with outlet
+    0^m are exactly the last column words.
     """
     words = enumerate_column_words(m)
     inlets, outlets = transfer.word_classes(words)
     counts = np.zeros((1 << m, 1 << m))
     np.add.at(counts, (outlets, inlets), 1)
+    classes = np.arange(1 << m)
 
     def read(images: list[str]) -> list:
-        # sum_y K_n[outlet(image of y), inlet(y)]
-        return [(0, inlets, transfer.word_classes(images)[1])]
+        # sum_o K_(n+1)[σ(o), o], σ(outlet(y)) = outlet(image of y)
+        sigma = np.zeros(1 << m, dtype=np.int64)
+        sigma[outlets] = image = transfer.word_classes(images)[1]
+        if not np.array_equal(sigma[outlets], image):
+            raise AssertionError(f"the image outlets are not a function of the outlet, m={m}")
+        return [(0, classes, sigma)]
 
-    zero = transfer.word_classes(last_column_words(m))[0]
-    reads = {("tnc", 0): [(0, zero, np.zeros_like(zero))]}
+    zero = np.zeros(1, dtype=np.int64)
+    reads = {("tnc", 0): [(0, zero, zero)]}
     for p in range(m):
         reads["tg", p] = read([rotate(y, p) for y in words])
         reads["kb", p] = read([horizontal_convert(rotate(y, p)) for y in words])
-    engine = _ResidueWalk([(counts, list(range(1 << m)))], reads)
-    engine._grow(0)
-    engine._record()  # K_1 = I, the first term
-    return engine
+    return _ResidueWalk([(counts, list(range(1 << m)))], reads)
 
 
 # engine kind -> builder; each kind is the transfer.LIMITS row of its widths

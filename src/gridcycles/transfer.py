@@ -13,7 +13,8 @@ Three digraph granularities drive the counting routes:
   matrix; sufficient for the thin-cylinder count and for every Perron
   root.
 
-Every reduced arc comes from :func:`reduced_arcs`; the full digraph and
+Every reduced arc comes from :func:`reduced_arcs`, which joins two cached
+tables of open chains, each about half the width; the full digraph and
 :func:`gridcycles.alphabet.count_io_words` are the independent references.
 Letter words become inlet and outlet classes in :func:`word_classes`
 alone.  Components are found by one routine, :func:`arc_components`, over
@@ -31,6 +32,8 @@ Construction is single-threaded.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -51,7 +54,8 @@ LIMITS = {
     # the dense 2^m-square multiplicity matrix
     "reduced": (14, "reduced dense matrix"),
     # the glued quotient generates the arcs out of each orbit representative
-    # once, under a second at m = 17 and 18; its engine steps one dense block
+    # once from the joined chain tables of reduced_arcs, 0.24–0.44 s at
+    # m = 17 and 18; its engine steps one dense block
     "glued": (18, "glued quotient and thin-cylinder counts"),
     # the trace engine steps float64 residues of A^n e_s, one column per
     # rotation orbit and prime, in two 1024-row blocks at m = 11: there
@@ -105,6 +109,13 @@ class TransferDigraph:
     def __len__(self) -> int:
         return len(self.vertices)
 
+    @functools.cached_property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The :func:`word_classes` of a full digraph's vertices, computed
+        once and kept as int32, half the memory, since they stay with the
+        digraph."""
+        return tuple(c.astype(np.int32) for c in word_classes(self.vertices))
+
     def arcs(self) -> tuple[int, np.ndarray, np.ndarray]:
         """``(nodes, src, dst)``: the node count and one (src[i], dst[i])
         pair per arc, multiplicity ignored.  On reduced and glued digraphs
@@ -116,7 +127,7 @@ class TransferDigraph:
         if self.kind != "full":
             return (len(self), *np.nonzero(self.adj))
         n, vertices = len(self), np.arange(len(self))
-        ins, outs = n + np.array(word_classes(self.vertices))
+        ins, outs = n + np.array(self.classes)
         return n + (1 << self.m), np.concatenate([vertices, ins]), np.concatenate([outs, vertices])
 
     def to_json_dict(self) -> dict:
@@ -166,12 +177,11 @@ def build_full(m: int, with_matrix: bool = False) -> TransferDigraph:
     check_width("full" if with_matrix else "census", m)
     words = enumerate_column_words(m)
     bword = "b" * m
-    vertices = tuple([bword] + [w for w in words if w != bword])
-    adj = None
+    d = TransferDigraph("full", m, tuple([bword] + [w for w in words if w != bword]), None)
     if with_matrix:
-        ins, outs = word_classes(vertices)
-        adj = (outs[:, None] == ins[None, :]).astype(np.uint8)
-    return TransferDigraph("full", m, vertices, adj)
+        ins, outs = d.classes
+        d.adj = (outs[:, None] == ins[None, :]).astype(np.uint8)
+    return d
 
 
 def reduced_arcs(inlets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,33 +191,96 @@ def reduced_arcs(inlets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     Row j of a column word has inlet bit u_j and up bit s_j; its down bit is
     the next row's up bit s_{j+1}, circularly.  The word is valid iff no row
     has u_j = s_j = s_{j+1}, and its outlet bit is w_j = u_j ^ s_j ^ s_{j+1}.
-    The chain starts from s_0 in {0, 1}; s_{j+1} is forced to 1 - u_j where
-    s_j = u_j and free otherwise, and s_m = s_0 closes the circle.
+    Cut after row ⌈m/2⌉ - 1, a word is an open chain of its first ⌈m/2⌉
+    rows (no condition closes it) with end bits (a, b) = (s_0, s_⌈m/2⌉),
+    joined to an open chain of its last ⌊m/2⌋ rows with end bits (b, a):
+    the circle closes on a.  So the arcs out of inlet u join, for each
+    (a, b), every chain of :func:`_chains` on u's high bits with every
+    chain on its low bits, and the outlet is the top chain's outlet bits
+    over the bottom chain's.
 
     Returns int32 arrays ``(src, outlets)``, one entry per arc, grouped by
-    inlet in the order given: the words are below 2^m, and int32 keeps the
-    chain's temporaries at half the size.  Words carry row j in bit m-1-j;
-    widen before shifting a word by m or more bits.
+    inlet in the order given (the order within an inlet is the tables'):
+    the words are below 2^m, and int32 keeps the temporaries at half the
+    size.  Words carry row j in bit m-1-j; widen before shifting a word by
+    m or more bits.
     """
-    # 256 inlets at a time: at m = 12 that peaks at 8.5 MB, all 2^m at once at 23 MB
-    parts = [_arc_chain(inlets[i : i + 256], m) for i in range(0, max(len(inlets), 1), 256)]
+    inlets = np.asarray(inlets, dtype=np.int32)
+    # 256 inlets at a time: a slice's temporaries peak at 0.8 MB at m = 12 and
+    # 9.6 MB at m = 18, well below the arcs returned
+    parts = [_joined_arcs(inlets[i : i + 256], m) for i in range(0, max(len(inlets), 1), 256)]
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
-def _arc_chain(inlets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    u = np.repeat(np.asarray(inlets, dtype=np.int32), 2)
-    s = s0 = np.tile(np.array([0, 1], dtype=np.int8), len(u) // 2)
-    w = np.zeros_like(u)
-    for j in range(m - 1):
-        free = s != ((u >> (m - 1 - j)) & 1)
-        reps = 1 + free
-        nxt = np.repeat(1 - s, reps)  # forced: s_j = u_j, so s_{j+1} = 1 - s_j
-        nxt[np.cumsum(reps)[free] - 1] ^= 1  # a free state's copies take both bits
-        w = np.repeat((w << 1) | free, reps) ^ nxt
-        u, s0, s = np.repeat(u, reps), np.repeat(s0, reps), nxt
-    last = u & 1
-    ok = (last != s) | (s != s0)
-    return u[ok], ((w << 1) | (last ^ s ^ s0))[ok]
+@functools.cache
+def _chains(h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every open chain of h rows, the read-only int32 table
+    ``(codes, outs, first)``.  Chain i has end bits (a, b) = (up bit of its
+    first row, down bit of its last), inlet bits ins and outlet bits
+    outs[i], row j in bit h-1-j, and code (2a + b) << h | ins; codes are
+    sorted, and the chains of code c are first[c] to first[c + 1] - 1.
+
+    With no row there is one empty chain for each a = b.  One row is one
+    of the six letters (u, a, b) other than (0, 0, 0) and (1, 1, 1), with
+    outlet bit u ^ a ^ b.  A chain of h rows is a chain of ⌈h/2⌉ rows over
+    a chain of ⌊h/2⌋ rows whose up bit is the first one's down bit."""
+    if h == 0:
+        codes, outs = np.array([[0, 3], [0, 0]], dtype=np.int32)
+    elif h == 1:
+        letters = [r for r in itertools.product((0, 1), repeat=3) if len(set(r)) > 1]
+        codes, outs = np.array([((2 * a + b) << 1 | u, u ^ a ^ b) for u, a, b in letters]).T
+    else:
+        low = h // 2
+        (top, top_outs, _), (bottom, bottom_outs, _) = _chains(h - low), _chains(low)
+        a, top_mid, top_ins = _split(top, h - low)
+        bottom_mid, b, bottom_ins = _split(bottom, low)
+        pairs = [
+            (
+                np.add.outer((2 * a[t] << h) | (top_ins[t] << low), (b[u] << h) | bottom_ins[u]),
+                np.add.outer(top_outs[t] << low, bottom_outs[u]),
+            )
+            for t, u in ((top_mid == c, bottom_mid == c) for c in (0, 1))
+        ]
+        codes, outs = (np.concatenate([x.ravel() for x in xs]) for xs in zip(*pairs))
+    order = np.argsort(codes)
+    codes, outs = codes[order].astype(np.int32), outs[order].astype(np.int32)
+    first = np.searchsorted(codes, np.arange((4 << h) + 1)).astype(np.int32)
+    for x in (codes, outs, first):
+        x.setflags(write=False)
+    return codes, outs, first
+
+
+def _split(codes: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The end bits a, b and the inlet bits of chain codes of h rows."""
+    return codes >> (h + 1), (codes >> h) & 1, codes & ((1 << h) - 1)
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i
+    in turn."""
+    ends = np.cumsum(counts, dtype=np.int32)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1:].sum(), dtype=np.int32)
+
+
+def _joined_arcs(inlets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    low = m // 2
+    (_, top_outs, top_first), (_, bottom_outs, bottom_first) = _chains(m - low), _chains(low)
+    # one row per inlet and one column per (a, b), 2a + b: the codes of the
+    # top chains on its high bits and of the bottom chains, (b, a), on its low
+    keys = np.arange(4, dtype=np.int32)
+    swapped = 2 * (keys & 1) + (keys >> 1)
+    top = (keys << (m - low)) | (inlets >> low)[:, None]
+    bottom = (swapped << low) | (inlets & ((1 << low) - 1))[:, None]
+    top_start, bottom_start = top_first[top], bottom_first[bottom]
+    bottom_count = bottom_first[bottom + 1] - bottom_start
+    top_count = (top_first[top + 1] - top_start) * (bottom_count > 0)
+    # one entry per top chain that some bottom chain joins, then one per
+    # bottom chain joined to it
+    tops = _runs(top_start.ravel(), top_count.ravel())
+    reps = np.repeat(bottom_count.ravel(), top_count.ravel())
+    bottoms = _runs(np.repeat(bottom_start.ravel(), top_count.ravel()), reps)
+    outlets = np.repeat(top_outs[tops] << low, reps) | bottom_outs[bottoms]
+    return np.repeat(inlets, (top_count * bottom_count).sum(axis=1)), outlets
 
 
 def rotate_words(words: np.ndarray, k: int, m: int) -> np.ndarray:

@@ -703,6 +703,14 @@ def test_engine_refuses_a_reduced_digraph_that_breaks_rotation(monkeypatch, m):
         ct._trace_engine(m)
 
 
+def test_full_route_refuses_images_not_read_off_the_outlet(monkeypatch):
+    # the vertical reflection swaps inlet and outlet, so the outlet of a
+    # word's image is no function of the word's outlet class
+    monkeypatch.setattr(ct, "horizontal_convert", al.vertical_convert)
+    with pytest.raises(AssertionError, match="not a function of the outlet"):
+        ct._full_engine(3)
+
+
 @pytest.mark.parametrize("m,size", [(2, 10), (3, 26), (4, 82)])
 def test_full_route_matches_word_digraph_powers(m, size):
     # powers of the word adjacency M[u, v] = [outlet(u) == inlet(v)] in
