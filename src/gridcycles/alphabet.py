@@ -17,13 +17,21 @@ The binary "outlet" word of a column records which rows send an edge to the
 right; the "inlet" word records which rows receive an edge from the left.
 These words drive the reduced transfer digraph in :mod:`gridcycles.transfer`.
 
-All functions here are pure; words are plain ``str`` values (letters over
-``abcdef``, binary words over ``01``) and safe to share across threads.
+Column words are enumerated as int64 *codes*: letter j of a word of
+length m is its index in :data:`LETTER_IDS`, stored in bits
+3(m-1-j) .. 3(m-1-j)+2, so numeric order is lexicographic order.
+:func:`column_word_codes` builds them and :func:`decode_words` is the one
+place that turns codes into ``str`` words (letters over ``abcdef``); the
+word algebra below works on ``str`` words, binary words over ``01``.
+
+All functions here are pure and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+import numpy as np
 
 
 class AlphaLetter(NamedTuple):
@@ -101,37 +109,79 @@ def is_column_word(word: str) -> bool:
     return m > 0 and all(ud_arc(word[j], word[(j + 1) % m]) for j in range(m))
 
 
-def _column_words(m: int, alphabet: str) -> list[str]:
-    """All cyclically up/down-consistent words of length m over ``alphabet``,
-    in lexicographic order.  Level by level over the ``follow`` table, so no
-    recursive closure (a reference cycle) outlives the call; the last
-    letter must also lead back to the first, so no unclosed word of length
-    m is kept."""
+def encode_word(word: str) -> int:
+    """The code of a letter word: letter j in bits 3(m-1-j) .. 3(m-1-j)+2."""
+    code = 0
+    for x in word:
+        code = code << 3 | LETTER_IDS.index(x)
+    return code
+
+
+def column_word_codes(m: int, letters: str = LETTER_IDS) -> np.ndarray:
+    """The codes of all cyclically up/down-consistent words of length m
+    over ``letters``, sorted (so in lexicographic order of the words), as
+    int64.  Level by level: each open word is repeated once per letter of
+    the ``ud_arc`` follow table of its last letter, then the words whose
+    last letter leads back to the first are kept."""
     if m < 1:
         raise ValueError(f"word length must be >= 1, got {m}")
-    letters = sorted(alphabet)
-    if m == 1:
-        return [x for x in letters if ud_arc(x, x)]
-    follow = {x: [y for y in letters if ud_arc(x, y)] for x in letters}
-    words = letters
-    for _ in range(m - 2):
-        words = [w + y for w in words for y in follow[w[-1]]]
-    return [w + y for w in words for y in follow[w[-1]] if ud_arc(y, w[0])]
+    if 3 * m > 63:
+        raise ValueError(f"int64 word codes hold lengths m <= 21, got {m}")
+    ids = sorted(LETTER_IDS.index(x) for x in set(letters))
+    follow = [[y for y in ids if ud_arc(LETTER_IDS[x], LETTER_IDS[y])] for x in range(6)]
+    # follow[x] is table[start[x] : start[x] + count[x]]
+    count = np.array([len(f) for f in follow])
+    start = np.cumsum(count) - count
+    table = np.array(sum(follow, []), dtype=np.int64)
+    codes = np.array(ids, dtype=np.int64)
+    last = codes
+    for _ in range(m - 1):
+        # word i becomes one word per letter table[start[x] + k], k < count[x],
+        # x its last letter
+        reps = count[last]
+        ends = np.cumsum(reps)
+        last = table[np.repeat(start[last] - ends + reps, reps) + np.arange(ends[-1:].sum())]
+        codes = np.repeat(codes, reps) << 3 | last
+    closes = np.array([[ud_arc(LETTER_IDS[x], LETTER_IDS[y]) for y in range(6)] for x in range(6)])
+    return codes[closes[last, codes >> 3 * (m - 1)]]
+
+
+_LETTER_BYTES = np.frombuffer(LETTER_IDS.encode(), dtype=np.uint8)
+
+
+def decode_words(codes: np.ndarray, m: int) -> list[str]:
+    """The letter words of length m with the given codes, in order."""
+    shifts = 3 * np.arange(m - 1, -1, -1, dtype=np.int64)
+    letters = _LETTER_BYTES[(np.asarray(codes, dtype=np.int64)[:, None] >> shifts) & 7]
+    return letters.view(f"S{m}").ravel().astype(f"U{m}").tolist()
 
 
 def enumerate_column_words(m: int) -> list[str]:
     """All valid column words of length m, lexicographic.  |result| = 3^m + (-1)^m."""
-    return _column_words(m, LETTER_IDS)
+    return decode_words(column_word_codes(m), m)
 
 
 def first_column_words(m: int) -> list[str]:
     """Column words usable as a leftmost column (no left edges): over {a,b,c}."""
-    return _column_words(m, "abc")
+    return decode_words(column_word_codes(m, "abc"), m)
 
 
 def last_column_words(m: int) -> list[str]:
     """Column words usable as a rightmost column (no right edges): over {b,d,f}."""
-    return _column_words(m, "bdf")
+    return decode_words(column_word_codes(m, "bdf"), m)
+
+
+_H_CODES = np.array([LETTER_IDS.index(x.translate(_H_MAP)) for x in LETTER_IDS], dtype=np.int64)
+
+
+def horizontal_convert_codes(codes: np.ndarray, m: int) -> np.ndarray:
+    """:func:`horizontal_convert` on the codes of words of length m: each
+    letter through the code table of the horizontal reflection, the
+    letters in reverse order."""
+    out = np.zeros_like(codes)
+    for j in range(m):
+        out |= _H_CODES[(codes >> 3 * j) & 7] << 3 * (m - 1 - j)
+    return out
 
 
 # For a position with inlet bit u and outlet bit w, the vertical (up, down)

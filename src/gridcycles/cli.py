@@ -144,7 +144,7 @@ def suite_digraph() -> RunReport:
     for m in range(2, 11):
         d = transfer.build_reduced(m)
         census = transfer.components(d)
-        zero_words[m] = {d.vertices[i] for i in census.members(census.zero_id)}
+        zero_words[m] = d.words[census.members(census.zero_id)]
         report.add(
             f"reduced digraph vertices m={m}", 2**m, len(d), "power of two"
         )
@@ -206,7 +206,8 @@ def suite_digraph() -> RunReport:
             report.add(name, True, law not in faults, "letter-table symmetry")
     for m, words in zero_words.items():
         closed = all(
-            w[::-1] in words and w[1:] + w[0] in words for w in words
+            np.isin(image, words).all()
+            for image in (transfer.reverse_words(words, m), transfer.rotate_words(words, 1, m))
         )
         report.add(
             f"zero component closed under rotation/reversal m={m}",
@@ -226,7 +227,7 @@ def suite_digraph() -> RunReport:
         report.add(
             f"first/last column sets are Lucas-sized m={m}",
             [tab["lucas"][str(m)]] * 2,
-            [len(alphabet.first_column_words(m)), len(alphabet.last_column_words(m))],
+            [len(alphabet.column_word_codes(m, letters)) for letters in ("abc", "bdf")],
             "refdata table lucas",
         )
     return report
@@ -433,7 +434,8 @@ def cmd_digraph(args) -> int:
     else:
         d = transfer.build_glued(args.m)
     if args.dump:
-        print(json.dumps(d.to_json_dict()))
+        d.write_json(sys.stdout)
+        sys.stdout.write("\n")
         return 0
     census = transfer.components(d) if args.kind != "glued" else None
     stats: dict = {"kind": d.kind, "m": d.m, "vertices": len(d)}

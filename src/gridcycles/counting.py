@@ -61,7 +61,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import recurrence, transfer
-from .alphabet import enumerate_column_words, horizontal_convert, rotate
+from .alphabet import column_word_codes, horizontal_convert_codes
 from .exactmat import Spectrum
 from .transfer import ResourceLimitError
 
@@ -472,7 +472,7 @@ def _tnc_engine(m: int) -> _ResidueEngine:
 
 
 def _full_engine(m: int) -> _ResidueWalk:
-    """Every full-route count, from the letter words and their
+    """Every full-route count, from the letter-word codes and their
     :func:`transfer.word_classes` alone: a residue walk that never certifies.
 
     A walk of n arcs on the word digraph, u → v when outlet(u) = inlet(v),
@@ -486,18 +486,19 @@ def _full_engine(m: int) -> _ResidueWalk:
     tg(n, p) = sum_o K_(n+1)[σ_p(o), o] with σ_p from rotation, kb the same
     with horizontally converted images, and the cylinder count tnc(n), the
     walks b^m → b^m of n + 1 arcs, = K_(n+1)[0, 0]: the words with outlet
-    0^m are exactly the last column words.
+    0^m are exactly the last column words.  A rotation by p letters is a
+    cyclic shift by 3p of the 3m code bits.
     """
-    words = enumerate_column_words(m)
-    inlets, outlets = transfer.word_classes(words)
+    words = column_word_codes(m)
+    inlets, outlets = transfer.word_classes(words, m)
     counts = np.zeros((1 << m, 1 << m))
     np.add.at(counts, (outlets, inlets), 1)
     classes = np.arange(1 << m)
 
-    def read(images: list[str]) -> list:
+    def read(images: np.ndarray) -> list:
         # sum_o K_(n+1)[σ(o), o], σ(outlet(y)) = outlet(image of y)
         sigma = np.zeros(1 << m, dtype=np.int64)
-        sigma[outlets] = image = transfer.word_classes(images)[1]
+        sigma[outlets] = image = transfer.word_classes(images, m)[1]
         if not np.array_equal(sigma[outlets], image):
             raise AssertionError(f"the image outlets are not a function of the outlet, m={m}")
         return [(0, classes, sigma)]
@@ -505,8 +506,9 @@ def _full_engine(m: int) -> _ResidueWalk:
     zero = np.zeros(1, dtype=np.int64)
     reads = {("tnc", 0): [(0, zero, zero)]}
     for p in range(m):
-        reads["tg", p] = read([rotate(y, p) for y in words])
-        reads["kb", p] = read([horizontal_convert(rotate(y, p)) for y in words])
+        rotated = transfer.rotate_words(words, 3 * p, 3 * m)
+        reads["tg", p] = read(rotated)
+        reads["kb", p] = read(horizontal_convert_codes(rotated, m))
     return _ResidueWalk([(counts, list(range(1 << m)))], reads)
 
 
@@ -635,8 +637,8 @@ def component_spectra(
     orbit_sizes = np.bincount(transfer.dihedral_least(d.m))
     spectra = []
     for comp in range(census.n_components):
-        glued = transfer.build_glued(d.m, int(d.vertices[census.members(comp)[0]], 2))
-        covered = int(orbit_sizes[[int(w, 2) for w in glued.vertices]].sum())
+        glued = transfer.build_glued(d.m, int(d.words[census.members(comp)[0]]))
+        covered = int(orbit_sizes[glued.words].sum())
         if covered != census.sizes[comp]:
             raise AssertionError(
                 f"the orbits of component {comp} (m={d.m}) hold {covered} words, "

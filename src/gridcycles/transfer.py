@@ -16,11 +16,15 @@ Three digraph granularities drive the counting routes:
 Every reduced arc comes from :func:`reduced_arcs`, which joins two cached
 tables of open chains, each about half the width; the full digraph and
 :func:`gridcycles.alphabet.count_io_words` are the independent references.
-Letter words become inlet and outlet classes in :func:`word_classes`
-alone.  Components are found by one routine, :func:`arc_components`, over
-arc index arrays: :func:`components` reads them from
-:meth:`TransferDigraph.arcs` (on a full digraph always through binary-word
-nodes, never a matrix), and the torus/Klein engine from :func:`reduced_arcs`.
+Every digraph holds its vertices as int64 codes: letter-word codes of
+:func:`gridcycles.alphabet.column_word_codes` on full digraphs, binary
+words on reduced and glued ones; the ``str`` words are decoded only when
+asked for.  Letter-word codes become inlet and outlet classes in
+:func:`word_classes` alone, through per-letter bit tables.  Components
+are found by one routine, :func:`arc_components`, over arc index arrays:
+:func:`components` reads them from :meth:`TransferDigraph.arcs` (on a
+full digraph always through binary-word nodes, never a matrix), and the
+torus/Klein engine from :func:`reduced_arcs`.
 
 Every width limit, of these builders and of the counting engines, is one
 row of :data:`LIMITS`, and :func:`check_width` is its one refusal; the
@@ -34,12 +38,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Sequence
+import json
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
-from .alphabet import enumerate_column_words, inlet, outlet
+from .alphabet import LETTER_IDS, LETTERS, column_word_codes, decode_words, encode_word
 
 # route -> (greatest width m, the route's name in the README's limits
 # table and in refusals)
@@ -79,22 +84,30 @@ def check_width(route: str, m: int) -> None:
         raise ResourceLimitError(f"{name} limited to m <= {limit}, got {m}")
 
 
-def word_classes(words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The inlet and outlet classes ``(inlets, outlets)`` of equal-length
-    letter words, as int64 arrays with row j in bit m-1-j."""
-    m = len(words[0]) if words else 0
-    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-    # all the binary words as one "0"/"1" byte string; einsum widens it to
-    # int64 a chunk at a time, where a matmul widens all of it at once
-    codes = (np.frombuffer(f("".join(words)).encode(), np.uint8) for f in (inlet, outlet))
-    bits = (c.reshape(len(words), m) - ord("0") for c in codes)
-    return tuple(np.einsum("ij,j->i", b, weights) for b in bits)
+# letter code -> its inlet (left edge) and outlet (right edge) bit
+_INLET_BITS = np.array([LETTERS[x].left for x in LETTER_IDS], dtype=np.int64)
+_OUTLET_BITS = np.array([LETTERS[x].right for x in LETTER_IDS], dtype=np.int64)
+
+
+def word_classes(codes: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inlet and outlet classes ``(inlets, outlets)`` of the letter
+    words of length m with the given codes, as int64 arrays with row j in
+    bit m-1-j: one pass per row, through the per-letter bit tables."""
+    inlets, outlets = np.zeros((2, len(codes)), dtype=np.int64)
+    for i in range(m):  # row m-1-i, in code bits 3i .. 3i+2
+        letters = (codes >> 3 * i) & 7
+        inlets |= _INLET_BITS[letters] << i
+        outlets |= _OUTLET_BITS[letters] << i
+    return inlets, outlets
 
 
 @dataclass(eq=False)
 class TransferDigraph:
-    """A vertex list plus arc multiplicities.
+    """Vertex codes plus arc multiplicities.
 
+    ``words`` holds one int64 code per vertex: a letter-word code (see
+    :func:`gridcycles.alphabet.column_word_codes`) on a full digraph, a
+    binary word (row j in bit m-1-j) on reduced and glued ones.
     ``adj`` is a dense numpy matrix for reduced/glued digraphs; a full
     digraph holds one only when built with ``with_matrix`` (otherwise
     ``None``), and its :meth:`arcs` never read it: they join each vertex to
@@ -103,18 +116,38 @@ class TransferDigraph:
 
     kind: str  # "full" | "reduced" | "glued"
     m: int
-    vertices: tuple[str, ...]
+    words: np.ndarray
     adj: np.ndarray | None
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.words)
+
+    @functools.cached_property
+    def vertices(self) -> tuple[str, ...]:
+        """The vertices as ``str`` words, decoded from :attr:`words` on
+        first use."""
+        if self.kind == "full":
+            return tuple(decode_words(self.words, self.m))
+        return tuple(format(w, f"0{self.m}b") for w in self.words.tolist())
 
     @functools.cached_property
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         """The :func:`word_classes` of a full digraph's vertices, computed
         once and kept as int32, half the memory, since they stay with the
         digraph."""
-        return tuple(c.astype(np.int32) for c in word_classes(self.vertices))
+        return tuple(c.astype(np.int32) for c in word_classes(self.words, self.m))
+
+    def anchors(self) -> tuple[int, int]:
+        """The codes of the anchor words: b^m and e^m on a full digraph,
+        0^m and 1^m otherwise."""
+        if self.kind == "full":
+            return encode_word("b" * self.m), encode_word("e" * self.m)
+        return 0, (1 << self.m) - 1
+
+    def index(self, code: int) -> int | None:
+        """The vertex index of a word code, or None if it is no vertex."""
+        hits = np.flatnonzero(self.words == code)
+        return int(hits[0]) if len(hits) else None
 
     def arcs(self) -> tuple[int, np.ndarray, np.ndarray]:
         """``(nodes, src, dst)``: the node count and one (src[i], dst[i])
@@ -130,17 +163,18 @@ class TransferDigraph:
         ins, outs = n + np.array(self.classes)
         return n + (1 << self.m), np.concatenate([vertices, ins]), np.concatenate([outs, vertices])
 
-    def to_json_dict(self) -> dict:
+    def write_json(self, out: TextIO) -> None:
+        """Write the digraph as the JSON object {kind, m, vertices, adj},
+        ``adj`` the row-major matrix entries, one matrix row at a time."""
         if self.adj is None:
             raise ResourceLimitError(
                 f"adjacency matrix not materialised for kind={self.kind}, m={self.m}"
             )
-        return {
-            "kind": self.kind,
-            "m": self.m,
-            "vertices": list(self.vertices),
-            "adj": self.adj.reshape(-1).tolist(),
-        }
+        head = {"kind": self.kind, "m": self.m, "vertices": list(self.vertices)}
+        out.write(json.dumps(head)[:-1] + ', "adj": [')
+        for i, row in enumerate(self.adj):
+            out.write((", " if i else "") + json.dumps(row.tolist())[1:-1])
+        out.write("]}")
 
 
 @dataclass
@@ -175,12 +209,13 @@ def build_full(m: int, with_matrix: bool = False) -> TransferDigraph:
     Without it the words alone are bounded by the ``census`` row.
     """
     check_width("full" if with_matrix else "census", m)
-    words = enumerate_column_words(m)
-    bword = "b" * m
-    d = TransferDigraph("full", m, tuple([bword] + [w for w in words if w != bword]), None)
+    words = column_word_codes(m)
+    bword = encode_word("b" * m)
+    d = TransferDigraph("full", m, np.concatenate([[bword], words[words != bword]]), None)
     if with_matrix:
         ins, outs = d.classes
-        d.adj = (outs[:, None] == ins[None, :]).astype(np.uint8)
+        # the bool matrix viewed as 0/1 bytes, with no second copy
+        d.adj = np.equal(outs[:, None], ins[None, :]).view(np.uint8)
     return d
 
 
@@ -343,8 +378,7 @@ def build_reduced(m: int) -> TransferDigraph:
     size = 1 << m
     adj = np.zeros((size, size), dtype=np.uint8)
     np.add.at(adj, reduced_arcs(np.arange(size), m), 1)
-    vertices = tuple(format(i, f"0{m}b") for i in range(size))
-    return TransferDigraph("reduced", m, vertices, adj)
+    return TransferDigraph("reduced", m, np.arange(size, dtype=np.int64), adj)
 
 
 def build_glued(m: int, root: int = 0) -> TransferDigraph:
@@ -392,7 +426,7 @@ def build_glued(m: int, root: int = 0) -> TransferDigraph:
     for rows in (slice(i, i + step) for i in range(0, len(reps), step)):
         if not np.array_equal(d[rows, None] * adj[rows], (d[:, None] * adj[:, rows]).T):
             raise AssertionError(f"D·G is not symmetric on the glued quotient m={m} root={root}")
-    return TransferDigraph("glued", m, tuple(format(r, f"0{m}b") for r in reps), adj)
+    return TransferDigraph("glued", m, np.array(reps, dtype=np.int64), adj)
 
 
 def arc_components(nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -435,10 +469,9 @@ def components(d: TransferDigraph) -> ComponentCensus:
     ids = np.unique(least, return_inverse=True)[1]
     labels, sizes = ids.tolist(), np.bincount(ids).tolist()
 
-    def comp_of(word: str) -> int | None:
-        return labels[d.vertices.index(word)] if word in d.vertices else None
-
-    zero_id, ones_id = (comp_of(c * d.m) for c in ("be" if d.kind == "full" else "01"))
+    zero_id, ones_id = (
+        None if (i := d.index(code)) is None else labels[i] for code in d.anchors()
+    )
     named = {zero_id, ones_id}
     rest = sorted((c for c in range(len(sizes)) if c not in named), key=lambda c: -sizes[c])
     return ComponentCensus(labels, sizes, zero_id, ones_id, rest)
@@ -454,12 +487,10 @@ def component_subdigraph(d: TransferDigraph, census: ComponentCensus, comp_id: i
     if d.adj is None:
         raise ResourceLimitError("component restriction needs a materialised matrix")
     idx = census.members(comp_id)
-    anchors = ("0" * d.m, "1" * d.m) if d.kind != "full" else ("b" * d.m, "e" * d.m)
-    for anchor in anchors:
-        j = d.vertices.index(anchor) if anchor in d.vertices else None
+    for anchor in d.anchors():
+        j = d.index(anchor)
         if j in idx:
             idx.remove(j)
             idx.insert(0, j)
             break
-    sub = d.adj[np.ix_(idx, idx)]
-    return TransferDigraph(d.kind, d.m, tuple(d.vertices[i] for i in idx), sub)
+    return TransferDigraph(d.kind, d.m, d.words[idx], d.adj[np.ix_(idx, idx)])

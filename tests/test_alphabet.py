@@ -1,10 +1,12 @@
 import gc
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gridcycles import alphabet as al
+from gridcycles import transfer as tr
 
 column_words = st.integers(1, 6).flatmap(
     lambda m: st.sampled_from(al.enumerate_column_words(m))
@@ -111,6 +113,51 @@ def test_column_word_lists_are_every_closed_walk_in_order(m):
         for _ in range(m - 1):
             prefixes = [w + ch for w in prefixes for ch in letters if al.ud_arc(w[-1], ch)]
         assert words == [w for w in prefixes if al.ud_arc(w[-1], w[0])]
+
+
+def reference_column_words(m, alphabet):
+    """The string builder the codes replaced: all cyclically consistent
+    words of length m over ``alphabet``, lexicographic, grown level by
+    level over a follow table and closed while adding the last letter."""
+    letters = sorted(alphabet)
+    if m == 1:
+        return [x for x in letters if al.ud_arc(x, x)]
+    follow = {x: [y for y in letters if al.ud_arc(x, y)] for x in letters}
+    words = letters
+    for _ in range(m - 2):
+        words = [w + y for w in words for y in follow[w[-1]]]
+    return [w + y for w in words for y in follow[w[-1]] if al.ud_arc(y, w[0])]
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+@pytest.mark.parametrize("letters", ["abcdef", "abc", "bdf"])
+def test_codes_decode_to_the_reference_words(m, letters):
+    codes = al.column_word_codes(m, letters)
+    assert codes.dtype == np.int64
+    assert np.all(codes[1:] > codes[:-1])  # numeric order is lexicographic
+    words = reference_column_words(m, letters)
+    assert al.decode_words(codes, m) == words
+    assert [al.encode_word(w) for w in words] == codes.tolist()
+
+
+def test_word_codes_refuse_lengths_past_int64():
+    assert len(al.column_word_codes(1)) == 2
+    with pytest.raises(ValueError, match="m <= 21"):
+        al.column_word_codes(22)
+    with pytest.raises(ValueError):
+        al.column_word_codes(0)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_code_rotation_and_conversion_match_the_string_forms(m):
+    codes = al.column_word_codes(m)
+    words = al.decode_words(codes, m)
+    assert al.decode_words(al.horizontal_convert_codes(codes, m), m) == [
+        al.horizontal_convert(w) for w in words
+    ]
+    for p in range(m):
+        rotated = tr.rotate_words(codes, 3 * p, 3 * m)
+        assert al.decode_words(rotated, m) == [al.rotate(w, p) for w in words]
 
 
 def test_column_word_enumeration_leaves_no_reference_cycle():

@@ -706,7 +706,8 @@ def test_engine_refuses_a_reduced_digraph_that_breaks_rotation(monkeypatch, m):
 def test_full_route_refuses_images_not_read_off_the_outlet(monkeypatch):
     # the vertical reflection swaps inlet and outlet, so the outlet of a
     # word's image is no function of the word's outlet class
-    monkeypatch.setattr(ct, "horizontal_convert", al.vertical_convert)
+    vertical = np.array([al.LETTER_IDS.index(al.vertical_convert(x)) for x in al.LETTER_IDS])
+    monkeypatch.setattr(al, "_H_CODES", vertical)
     with pytest.raises(AssertionError, match="not a function of the outlet"):
         ct._full_engine(3)
 

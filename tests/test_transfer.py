@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -69,8 +70,9 @@ def test_full_digraph_holds_no_matrix_by_default(m):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_word_classes_are_the_binary_inlet_and_outlet_words(m):
-    words = al.enumerate_column_words(m)
-    inlets, outlets = tr.word_classes(words)
+    codes = al.column_word_codes(m)
+    words = al.decode_words(codes, m)
+    inlets, outlets = tr.word_classes(codes, m)
     assert inlets.dtype == outlets.dtype == np.int64
     assert inlets.tolist() == [int(al.inlet(w), 2) for w in words]
     assert outlets.tolist() == [int(al.outlet(w), 2) for w in words]
@@ -299,7 +301,7 @@ def test_components_abort_on_a_one_way_arc():
     # two self-loops joined by an arc 0 -> 1 only: one weak component, two
     # strong ones
     adj = np.array([[1, 1], [0, 1]], dtype=np.uint8)
-    d = tr.TransferDigraph("reduced", 1, ("0", "1"), adj)
+    d = tr.TransferDigraph("reduced", 1, np.arange(2), adj)
     with pytest.raises(AssertionError, match="not strongly connected"):
         tr.components(d)
     with pytest.raises(AssertionError, match="not strongly connected"):
@@ -338,7 +340,7 @@ def test_rest_components_go_by_size_then_least_word(kind, m):
 
 def test_rest_component_ties_go_to_the_lesser_least_word():
     # four one-vertex components; 01 and 10 tie in size
-    d = tr.TransferDigraph("reduced", 2, ("00", "01", "10", "11"), np.eye(4, dtype=np.uint8))
+    d = tr.TransferDigraph("reduced", 2, np.arange(4), np.eye(4, dtype=np.uint8))
     census = tr.components(d)
     assert census.rest_ids == least_word_order(d, census) == [1, 2]
 
@@ -492,11 +494,43 @@ def test_column_set_sizes(m, expected):
     assert len(al.first_column_words(m)) == len(al.last_column_words(m)) == expected
 
 
+def dumped(d):
+    out = io.StringIO()
+    d.write_json(out)
+    return out.getvalue()
+
+
 def test_json_serialization_roundtrip():
     d = tr.build_reduced(3)
-    doc = json.loads(json.dumps(d.to_json_dict()))
+    doc = json.loads(dumped(d))
     assert doc["kind"] == "reduced" and doc["m"] == 3
     assert doc["vertices"] == list(d.vertices)
     assert doc["adj"] == [int(x) for x in d.adj.reshape(-1)]
     with pytest.raises(tr.ResourceLimitError):
-        tr.build_full(9).to_json_dict()
+        tr.build_full(9).write_json(io.StringIO())
+
+
+@pytest.mark.parametrize(
+    "d",
+    [tr.build_full(3, with_matrix=True), tr.build_reduced(4), tr.build_glued(6)]
+    + [tr.TransferDigraph("glued", 1, np.arange(0), np.zeros((0, 0), dtype=np.int64))],
+    ids=["full", "reduced", "glued", "empty"],
+)
+def test_streamed_json_is_one_json_dumps(d):
+    # row by row, byte for byte the text of one json.dumps of the whole
+    doc = {"kind": d.kind, "m": d.m, "vertices": list(d.vertices), "adj": d.adj.ravel().tolist()}
+    assert dumped(d) == json.dumps(doc)
+
+
+def test_vertex_words_are_decoded_only_on_request():
+    # the census and the class counts of the stats read the codes alone
+    d = tr.build_full(10)
+    census = tr.components(d)
+    ins, outs = (np.bincount(c, minlength=1 << d.m) for c in d.classes)
+    assert int(outs @ ins) > 0 and census.zero_id is not None
+    assert "vertices" not in d.__dict__
+    reduced = tr.build_reduced(10)
+    tr.components(reduced)
+    assert "vertices" not in reduced.__dict__
+    assert d.vertices[0] == "b" * 10 and len(d.vertices) == len(d)
+    assert d.vertices[1:] == tuple(sorted(d.vertices[1:]))
