@@ -121,13 +121,19 @@ class Series:
 # a residue engine's first horizon, in terms, is its first request but at
 # most this; later growths add a quarter, or reach a request within this
 _FIRST_HORIZON = 64
+# a growth extends the residues of about this many (entry, old prime) pairs
+# at a time, which bounds its working arrays
+_CHUNK = 1 << 14
 # The residue primes are the greatest primes <= _PRIME_LIMIT, set with the
 # engine kinds below; each engine checks that its products stay below 2^53.
 # They are found once per process.
 _PRIMES: list[int] = []  # the primes <= _PRIME_LIMIT found so far, descending
 _PRIMES_LOCK = threading.Lock()
-# Miller–Rabin with these bases decides every n < 3.3·10^24
+# Miller–Rabin with these bases decides every n < 3.3·10^24, and with the
+# first six every n < ψ6 = 3,474,749,660,383 (Jaeschke 1993), which holds
+# the residue primes
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI6 = 3474749660383
 
 
 def _is_prime(n: int) -> bool:
@@ -139,7 +145,7 @@ def _is_prime(n: int) -> bool:
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for b in _MR_BASES:
+    for b in _MR_BASES[:6] if n < _PSI6 else _MR_BASES:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -180,6 +186,88 @@ def _reduce(w: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     return w
 
 
+def _mulmod(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """a·b mod q elementwise, for int64 arrays with 0 <= a, b < q < 2^50.
+
+    y = a·b·(1/q) in float64 takes three roundings, so it is within
+    3·2^-53·a·b/q < q·2^-51 < 1/2 of a·b/q < q: floor(y) misses
+    floor(a·b/q) by at most one either way, and not upward when q divides
+    a·b.  So a·b - floor(y)·q lies in (-q, 2q).  int64 products wrap
+    modulo 2^64 and (-q, 2q) lies within the int64 range, so the wrapped
+    difference is that value exactly; one correction each way lands in
+    [0, q)."""
+    quot = np.floor(a.astype(np.float64) * b * (1 / q)).astype(np.int64)
+    r = a * b - quot * q
+    np.add(r, q, out=r, where=r < 0)
+    np.subtract(r, q, out=r, where=r >= q)
+    return r
+
+
+_LIMB = 21  # bits of the limbs whose float64 products extend a residue base
+
+
+def _base_extension(old: list[int], new: list[int]):
+    """The function from residues modulo the ``old`` primes to residues
+    modulo the ``new`` ones, in int64 and float64 alone, of integers
+    0 <= x < M/2, M the product of the old primes (a base extension in
+    the residue number system; Shenoy and Kumaresan 1989).  It maps an
+    (entries, k) int64 array r, r[e, i] = x_e mod p_i for the k old
+    primes p_i, to the (entries, len(new)) int64 array of x_e mod q.
+
+    With M_i = M/p_i and z_i = r_i·(M_i^-1 mod p_i) mod p_i (one
+    :func:`_mulmod`), sum_i z_i·M_i = x + α·M for an integer α, so
+    sum_i z_i/p_i = α + x/M and
+    x mod q = (sum_i z_i·(M_i mod q) + α·(-M mod q)) mod q.  x < M/2 puts
+    α + x/M in [α, α + 1/2), and the float64 sum of the z_i·(1/p_i), each
+    term below 1, is within k²·2^-52 < 1/4 of it, so α = floor(sum + 1/4)
+    exactly.  A plain floor is wrong: x/M is often below 2^-100, and the
+    float sum can land just below α.
+
+    The sum over i runs as one float64 matrix product of 21-bit limbs.
+    Every prime is below 2^41, so z_i = zh·2^21 + zl and each constant
+    c = ch·2^21 + cl have zh, ch < 2^20 and zl, cl < 2^21; α is a low limb
+    of its own.  The columns of [zh | zl] @ [[ch, cl, 0], [0, ch, cl]] sum
+    the zh·ch, the zh·cl and zl·ch, and the zl·cl over the k + 1 terms,
+    each an integer below (k + 1)·2^42 <= 2^53, exact in float64 in any
+    order.  Horner's rule in 2^21 modulo q joins the three in int64, where
+    (q - 1)·2^21 + 2^53 < 2^63.  Both bounds are checked here.
+    """
+    k, n = len(old), len(new)
+    if (k + 1) << 2 * _LIMB > 1 << 53 or max(old + new) >= 1 << 2 * _LIMB - 1:
+        raise AssertionError(
+            f"residue base extension is not exact from {k} primes, "
+            f"greatest prime {max(old + new)}"
+        )
+    product = math.prod(old)
+    cofactors = [product // p for p in old]
+    moduli = np.array(old, dtype=np.int64)
+    weights = np.array([pow(c, -1, p) for c, p in zip(cofactors, old)], dtype=np.int64)
+    reciprocals = 1 / moduli.astype(np.float64)
+    targets = np.array(new, dtype=np.int64)
+    constants = np.array(
+        [[c % q for q in new] for c in cofactors] + [[-product % q for q in new]], dtype=np.int64
+    )
+    high, low = constants >> _LIMB, constants & ((1 << _LIMB) - 1)
+    right = np.zeros((2 * (k + 1), 3 * n))
+    right[: k + 1, :n], right[: k + 1, n : 2 * n] = high, low
+    right[k + 1 :, n : 2 * n], right[k + 1 :, 2 * n :] = high, low
+
+    def extend(r: np.ndarray) -> np.ndarray:
+        z = _mulmod(r, weights, moduli)
+        left = np.zeros((len(z), 2 * (k + 1)))
+        left[:, :k], left[:, k + 1 : -1] = z >> _LIMB, z & ((1 << _LIMB) - 1)
+        left[:, -1] = np.floor(z.astype(np.float64) @ reciprocals + 0.25)  # α
+        parts = (left @ right).astype(np.int64)
+        x = parts[:, :n] % targets
+        for part in (parts[:, n : 2 * n], parts[:, 2 * n :]):
+            x <<= _LIMB
+            x += part
+            x %= targets
+        return x
+
+    return extend
+
+
 class _ResidueWalk:
     """Walk counts read off residues of M^n e_s modulo word-size primes;
     ``series[family, p]`` holds the counts for n = 1, 2, ..., and each
@@ -210,9 +298,12 @@ class _ResidueWalk:
 
     The cubes cover the terms up to ``horizon``: first the first request,
     at most ``_FIRST_HORIZON``, then a quarter more each time, or a
-    request within ``_FIRST_HORIZON``.  The old primes still determine
-    each M^n e_s exactly, so it is lifted by the same CRT and reduced
-    modulo the new primes; no column is stepped twice.
+    request within ``_FIRST_HORIZON``.  The primes of a horizon have a
+    product above 2·weight·rowmax^horizon, so when a growth adds primes,
+    every entry of every M^n e_s is below half the product of the old ones,
+    and :func:`_base_extension` takes its residues to the new primes in
+    int64 and float64 arithmetic, for the entries of all blocks at once,
+    with no big-integer lift; no column is stepped twice.
     """
 
     def __init__(self, blocks: list[tuple[np.ndarray, list[int]]], reads: dict):
@@ -268,7 +359,7 @@ class _ResidueWalk:
     def _grow(self, horizon: int) -> None:
         """Add the primes and residues that terms up to ``horizon`` need,
         at the current n."""
-        old, bound = len(self.primes), self.weight * self.rowmax**horizon
+        old, bound = len(self.primes), 2 * self.weight * self.rowmax**horizon
         while self.products[-1] <= bound:
             p = _prime(len(self.primes))
             self.primes.append(p)
@@ -277,18 +368,39 @@ class _ResidueWalk:
         self.horizon = horizon
         if len(self.primes) == old:
             return
+        if old:
+            extend = _base_extension(self.primes[:old], self.primes[old:])
         for b, (matrix, starts) in enumerate(self.blocks):
-            v = self.residues[b]
-            # each M^n e_s from the old primes, one at a time, its entries
-            # at most rowmax^n < products[old]; e_s at n = 0
+            cube = np.zeros((len(matrix), len(self.primes), len(starts)))
             if old:
-                vectors = self._lift(v[:, i].astype(np.int64).astype(object) for i in range(old))
-            else:
-                vectors = np.zeros((len(matrix), len(starts)), dtype=object)
-                vectors[starts, np.arange(len(starts))] = 1
-            new = [(vectors % q).astype(np.float64) for q in self.primes[old:]]
-            self.residues[b] = np.concatenate([v, np.stack(new, axis=1)], axis=1)
+                cube[:, :old] = self.residues[b]
+            else:  # e_s at n = 0
+                cube[starts, :, np.arange(len(starts))] = 1
+            self.residues[b] = cube
         self.moduli = np.array(self.primes, dtype=np.float64)[:, None]
+        if not old:
+            return
+        # every entry of M^n e_s is at most rowmax^n < products[old]/2, so
+        # the old primes extend to the new ones; the entries of all blocks
+        # go through in chunks of about _CHUNK residues
+        limit, groups, size = max(1, _CHUNK // old), [[]], 0
+        for cube in self.residues:
+            step = max(1, limit // cube.shape[2])
+            for top in range(0, len(cube), step):
+                piece = cube[top : top + step]
+                groups[-1].append(piece)
+                size += piece.shape[0] * piece.shape[2]
+                if size >= limit:
+                    groups.append([])
+                    size = 0
+        for group in filter(None, groups):
+            flat = [piece[:, :old].transpose(0, 2, 1).reshape(-1, old) for piece in group]
+            x = extend(np.concatenate(flat, dtype=np.int64, casting="unsafe"))
+            at = 0
+            for piece in group:
+                rows, _, width = piece.shape
+                piece[:, old:] = x[at : at + rows * width].reshape(rows, width, -1).transpose(0, 2, 1)
+                at += rows * width
 
     def _walk(self, terms: float) -> None:
         """Step every block by one term; ``terms`` is the request."""

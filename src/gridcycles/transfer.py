@@ -413,8 +413,13 @@ def build_glued(m: int, root: int = 0) -> TransferDigraph:
         pair, mult = np.unique((src.astype(np.int64) << m) | target, return_counts=True)
         pairs.append(pair)
         mults.append(mult)
-        frontier = np.unique(target[~seen[target]])
-        seen[frontier] = True
+        # the new orbits, ascending, marked rather than np.unique'd: that
+        # imports numpy.ma on first use
+        fresh = np.zeros(size, dtype=bool)
+        fresh[target] = True
+        fresh &= ~seen
+        frontier = np.flatnonzero(fresh)
+        seen |= fresh
     reps = sorted(np.flatnonzero(seen).tolist(), key=lambda r: (r != start, r != mask, r))
     index = np.zeros(size, dtype=np.int64)
     index[reps] = np.arange(len(reps))

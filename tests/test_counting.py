@@ -1,4 +1,5 @@
 import functools
+import math
 import sys
 import threading
 from collections import defaultdict
@@ -654,6 +655,108 @@ def test_reduction_is_exact_next_to_multiples():
     assert (naive < 0).any() and (naive >= moduli).any()
     exact = w.astype(np.int64) % moduli.astype(np.int64)
     assert np.array_equal(ct._reduce(w, moduli).astype(np.int64), exact)
+
+
+def test_mulmod_is_exact_next_to_multiples():
+    # a·b ≡ d (mod q) for d in -2..2, 300 random a and 24 engine primes q,
+    # gives Python's a·b % q, although floor(a·b·(1/q)) in float64 misses
+    # the quotient by one both ways for some of these products
+    rng = np.random.default_rng(5)
+    q = np.array([ct._prime(i) for i in range(24)], dtype=np.int64)[None, :, None]
+    a = np.repeat(rng.integers(1, q[..., 0], size=(300, 24))[..., None], 5, axis=2)
+    inverses = [[pow(int(x), -1, int(p)) for x, p in zip(row, q[0, :, 0])] for row in a[..., 0]]
+    b = np.array(inverses)[..., None] * np.arange(-2, 3) % q
+    quotient = np.floor(a.astype(np.float64) * b * (1 / q)).astype(np.int64)
+    naive = a * b - quotient * q
+    assert (naive < 0).any() and (naive >= q).any()
+    exact = (a.astype(object) * b % q.astype(object)).astype(np.int64)
+    assert np.array_equal(ct._mulmod(a, b, q), exact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_base_extension_matches_python_residues(data):
+    # any split of engine primes into old and new ones extends every
+    # 0 <= x < M/2, M the product of the old primes: the ends, random x,
+    # and x below 2^(bits(M) - 100), where x/M is so small that the float
+    # sum of the CRT quotient lands just below an integer
+    indices = data.draw(st.lists(st.integers(0, 47), min_size=2, max_size=24, unique=True))
+    split = data.draw(st.integers(1, len(indices) - 1))
+    primes = [ct._prime(i) for i in indices]
+    old, new = primes[:split], primes[split:]
+    half = math.prod(old) // 2
+    xs = [0, half - 1, half] + data.draw(st.lists(st.integers(0, half), min_size=1, max_size=8))
+    if half.bit_length() >= 100:
+        tiny = st.integers(0, (1 << (half.bit_length() - 99)) - 1)
+        xs += data.draw(st.lists(tiny, min_size=1, max_size=8))
+    residues = np.array([[x % p for p in old] for x in xs], dtype=np.int64)
+    assert ct._base_extension(old, new)(residues).tolist() == [[x % q for q in new] for x in xs]
+
+
+def test_base_extension_at_many_primes():
+    # 160 old primes, about the most a growth of tg m = 10 holds
+    primes = [ct._prime(i) for i in range(168)]
+    old, new = primes[:160], primes[160:]
+    half = math.prod(old) // 2
+    rng = np.random.default_rng(7)
+    xs = [0, half, half - 1] + [int(rng.integers(1 << 62)) << e for e in range(0, 6400, 97)]
+    residues = np.array([[x % p for p in old] for x in xs], dtype=np.int64)
+    assert ct._base_extension(old, new)(residues).tolist() == [[x % q for q in new] for x in xs]
+
+
+def test_base_extension_refuses_inexact_bounds():
+    # 2048 old primes let a column of limb products reach 2^53, and a prime
+    # of 2^41 or more a limb 2^21; both are refused before any arithmetic,
+    # also when a walk grows onto such primes
+    primes = [ct._prime(i) for i in range(3)]
+    with pytest.raises(AssertionError, match="from 2048 primes"):
+        ct._base_extension(primes[:1] * 2048, primes[1:])
+    big = [n for n in range((1 << 41) + 1, (1 << 41) + 400, 2) if ct._is_prime(n)][:3]
+    with pytest.raises(AssertionError, match=f"greatest prime {big[0]}"):
+        ct._base_extension(primes[:2], big[:1])
+    assert ct._base_extension(primes[:2], primes[2:])
+    # rowmax 2: the first horizon of 64 terms takes two primes, the third
+    # comes at the growth to n = 100 and is extended from the first two
+    walk = ct._ResidueWalk([(np.full((1, 1), 2.0), [0])], {("a", 0): [(0, [0], [0])]})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ct, "_prime", big.__getitem__)
+        with pytest.raises(AssertionError, match="from 2 primes"):
+            walk.values("a", 0, 100)
+    assert walk.series["a", 0] == [2**n for n in range(1, 81)]
+
+
+def test_growth_keeps_the_entries_below_half_the_old_product(monkeypatch):
+    # on small primes, 37 alone exceeds 2^5, the largest entry of a first
+    # horizon of 5 terms at rowmax 2, but not twice it, and the entry
+    # 2^5 = 32 is not below 37/2; a horizon takes primes whose product
+    # exceeds twice its bound, so each growth extends entries below M/2
+    monkeypatch.setattr(ct, "_prime", [37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79].__getitem__)
+    walk = ct._ResidueWalk([(np.full((1, 1), 2.0), [0])], {("a", 0): [(0, [0], [0])]})
+    walk.values("a", 0, 5)
+    assert walk.primes == [37, 41]
+    assert walk.values("a", 0, 40) == [2**n for n in range(1, 41)]
+
+
+@pytest.mark.parametrize("chunk", [1, 300])
+def test_growth_chunks_extend_the_same_residues(chunk, monkeypatch):
+    # chunks of one row of one block, or of rows from several blocks at
+    # once, extend the same residues as one chunk for every entry
+    monkeypatch.setattr(ct, "_FIRST_HORIZON", 8)
+    whole = ct._trace_engine(6)
+    whole.values("tg", 0, 40)
+    monkeypatch.setattr(ct, "_CHUNK", chunk)
+    chunked = ct._trace_engine(6)
+    assert chunked.values("tg", 0, 40) == whole.values("tg", 0, 40)
+    assert len(chunked.blocks) > 1 and len(chunked.primes) > 2
+    for a, b in zip(chunked.residues, whole.residues):
+        assert np.array_equal(a, b)
+
+
+def test_miller_rabin_bases_follow_the_size():
+    # six bases below ψ6 and twelve from it: the least strong pseudoprimes
+    # to the first five and to the first six prime bases are both refused
+    assert not ct._is_prime(2152302898747) and not ct._is_prime(3474749660383)
+    assert ct._is_prime(3474749660401) and ct._prime(0) < ct._PSI6
 
 
 @pytest.mark.parametrize("m", range(2, 13))

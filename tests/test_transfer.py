@@ -1,8 +1,12 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,6 +409,33 @@ def test_glued_from_another_root():
 )
 def test_glued_sizes(m, expected):
     assert len(tr.build_glued(m)) == expected
+
+
+def test_glued_build_leaves_numpy_ma_unloaded():
+    # np.unique without return_* imports numpy.ma (about 8 ms) on numpy 2.4;
+    # if import numpy alone leaves it unloaded, so do the glued builds
+    script = (
+        "import sys, numpy\n"
+        "if 'numpy.ma' in sys.modules:\n"
+        "    print('loaded by numpy')\n"
+        "else:\n"
+        "    from gridcycles import transfer\n"
+        "    for m in range(2, 11):\n"
+        "        transfer.build_glued(m)\n"
+        "    print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(tr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    if child.stdout == "loaded by numpy\n":
+        pytest.skip("import numpy loads numpy.ma itself")
+    assert child.stdout == "False\n"
 
 
 def zero_component(d):
