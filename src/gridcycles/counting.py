@@ -161,28 +161,35 @@ def _is_prime(n: int) -> bool:
 def _prime(i: int) -> int:
     """The (i + 1)-th greatest prime <= _PRIME_LIMIT."""
     with _PRIMES_LOCK:
-        q = _PRIMES[-1] - 1 if _PRIMES else _PRIME_LIMIT
+        # every candidate is odd: the greatest odd number <= _PRIME_LIMIT first
+        q = _PRIMES[-1] - 2 if _PRIMES else (_PRIME_LIMIT - 1) | 1
         while len(_PRIMES) <= i:
             if _is_prime(q):
                 _PRIMES.append(q)
-            q -= 1
+            q -= 2
         return _PRIMES[i]
 
 
-def _reduce(w: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    """w mod p column by column, in place, for float64 integers 0 <= w and
-    primes p with w < rowmax·p <= 2^53 (about three times faster than
-    ``np.fmod``).  The quotient w/p is below rowmax, at most Lucas at the
-    widest engine row (see ``_PRIME_LIMIT``), so
-    q = floor(w·(1/p)) is off by at most one, q·p <= rowmax·p is exact,
-    and so is w - q·p in [-p, 2p); one correction each way lands in
-    [0, p)."""
-    q = w * (1 / moduli)
-    np.floor(q, out=q)
+def _reduce(w: np.ndarray, moduli: np.ndarray, reciprocals: np.ndarray) -> np.ndarray:
+    """A signed residue of w mod p column by column, in place: the float64
+    integers w with |w| < rowmax·p <= 2^53 become w - q·p for
+    q = rint(w·(1/p)), ``reciprocals`` the float64 1/p: four passes and no
+    mask.
+
+    Exact: |w/p| < rowmax, at most Lucas at the widest engine row (see
+    ``_PRIME_LIMIT``), so |q| <= rowmax and q·p, an integer of at most
+    rowmax·p <= 2^53, is exact, and so is the integer w - q·p.  The two
+    roundings of w·(1/p) put it within rowmax·(2^-52 + 2^-106) of w/p, so
+    |w/p - q| <= 1/2 + rowmax·(2^-52 + 2^-106) and
+    |w - q·p| <= p/2 + 2 + 2^-53 < p/2·(1 + 2^-38), every residue prime
+    being above 1.5·10^12.  So the residues stay below p in absolute
+    value: every partial sum of the next product, at most rowmax terms,
+    stays below rowmax·p <= 2^53, and a gather of ``pairs`` of them below
+    pairs·p < 2^63 (both checked when the walk is built)."""
+    q = w * reciprocals
+    np.rint(q, out=q)
     q *= moduli
     w -= q
-    np.add(w, moduli, out=w, where=w < 0)
-    np.subtract(w, moduli, out=w, where=w >= moduli)
     return w
 
 
@@ -276,11 +283,12 @@ class _ResidueWalk:
     M comes as ``blocks`` (M_b, starts): M_b, as float64, is M restricted
     to rows closed under M, and ``starts`` are the rows s of the block whose
     columns M_b^n e_s are walked.  A block's residue cube has
-    ``residues[b][x, i, j]`` = (M_b^n e_(starts[j]))[x] mod ``primes[i]``,
-    so a term is one product M_b @ V per block, V the cube with its last
-    two axes flattened, reduced mod p.  Every prime has rowmax·p <= 2^53,
-    rowmax the greatest row sum of any block, so each partial sum is an
-    integer below 2^53, exact in float64.
+    ``residues[b][x, i, j]`` ≡ (M_b^n e_(starts[j]))[x] mod ``primes[i]``,
+    a signed residue in (-p, p), so a term is one product M_b @ V per
+    block, V the cube with its last two axes flattened, reduced by
+    :func:`_reduce`.  Every prime has rowmax·p <= 2^53, rowmax the greatest
+    row sum of any block, so each partial sum is an integer below 2^53 in
+    absolute value, exact in float64.
 
     A series reads ``reads[family, p]``, triples (b, rows, columns): the
     count sums M_b^n[rows[i], starts[columns[i]]] over i.  At build the
@@ -289,9 +297,10 @@ class _ResidueWalk:
     at ``bounds[t]:bounds[t + 1]``.  A term takes one gather per block, a
     running int64 sum down it and its differences at the bounds (0 for a
     series with no pairs in the block), so every series is summed modulo
-    each prime at once, then lifted by Garner's CRT over the shortest
-    prefix of the primes whose product exceeds weight·rowmax^n, weight the
-    most pairs any read sums, since rowmax^n bounds every entry of M^n e_s.
+    each prime at once (``%`` takes the signed sums to [0, p)), then lifted
+    by Garner's CRT over the shortest prefix of the primes whose product
+    exceeds weight·rowmax^n, weight the most pairs any read sums, since
+    rowmax^n bounds every entry of M^n e_s.
     The running sums stay below 2^63: each block's pair count times the
     greatest prime is checked at build, like weight (about 2^55 at the
     widest, trace m = 11 with 22528 pairs in one block).
@@ -301,9 +310,9 @@ class _ResidueWalk:
     request within ``_FIRST_HORIZON``.  The primes of a horizon have a
     product above 2·weight·rowmax^horizon, so when a growth adds primes,
     every entry of every M^n e_s is below half the product of the old ones,
-    and :func:`_base_extension` takes its residues to the new primes in
-    int64 and float64 arithmetic, for the entries of all blocks at once,
-    with no big-integer lift; no column is stepped twice.
+    and :func:`_base_extension` takes its residues, moved to [0, p), to the
+    new primes in int64 and float64 arithmetic, for the entries of all
+    blocks at once, with no big-integer lift; no column is stepped twice.
     """
 
     def __init__(self, blocks: list[tuple[np.ndarray, list[int]]], reads: dict):
@@ -334,7 +343,8 @@ class _ResidueWalk:
                 f"weight {self.weight}, block pairs {pairs}"
             )
         self.residues = [np.zeros((len(matrix), 0, len(starts))) for matrix, starts in blocks]
-        self.moduli = np.zeros((0, 1))  # the primes as one column, for every block
+        # the primes as one column, for every block, and their float64 inverses
+        self.moduli = self.reciprocals = np.zeros((0, 1))
         self.primes: list[int] = []
         self.products = [1]  # products[i] = primes[0] ⋯ primes[i - 1]
         self.inverses: list[int] = []  # inverses[i] = 1 / products[i] mod primes[i]
@@ -378,11 +388,14 @@ class _ResidueWalk:
                 cube[starts, :, np.arange(len(starts))] = 1
             self.residues[b] = cube
         self.moduli = np.array(self.primes, dtype=np.float64)[:, None]
+        self.reciprocals = 1 / self.moduli
         if not old:
             return
         # every entry of M^n e_s is at most rowmax^n < products[old]/2, so
-        # the old primes extend to the new ones; the entries of all blocks
-        # go through in chunks of about _CHUNK residues
+        # the old primes extend to the new ones, from the signed residues
+        # taken to [0, p); the entries of all blocks go through in chunks of
+        # about _CHUNK residues
+        old_primes = np.array(self.primes[:old], dtype=np.int64)
         limit, groups, size = max(1, _CHUNK // old), [[]], 0
         for cube in self.residues:
             step = max(1, limit // cube.shape[2])
@@ -395,7 +408,7 @@ class _ResidueWalk:
                     size = 0
         for group in filter(None, groups):
             flat = [piece[:, :old].transpose(0, 2, 1).reshape(-1, old) for piece in group]
-            x = extend(np.concatenate(flat, dtype=np.int64, casting="unsafe"))
+            x = extend(np.concatenate(flat, dtype=np.int64, casting="unsafe") % old_primes)
             at = 0
             for piece in group:
                 rows, _, width = piece.shape
@@ -409,7 +422,7 @@ class _ResidueWalk:
         for b, (matrix, _) in enumerate(self.blocks):
             v = self.residues[b]
             step = (matrix @ v.reshape(len(v), -1)).reshape(v.shape)
-            self.residues[b] = _reduce(step, self.moduli)
+            self.residues[b] = _reduce(step, self.moduli, self.reciprocals)
         self.n += 1
 
     def _lift(self, residues):
@@ -446,6 +459,8 @@ class _ResidueEngine(_ResidueWalk):
     series, and a refuted L means stepping on.  The cap is ``size``
     = |U|, U the rows of the blocks: each series satisfies the
     characteristic polynomial of M on U, so 2·|U| terms always certify.
+    Both certificates of the Gram series take the running BM as their fit
+    modulo ``PRIMES[0]``, so no prime's fit runs twice.
     Once certified, ``recurrences[family, p]`` extends each series, and
     the blocks, residues and gathers are dropped.
     """
@@ -471,20 +486,20 @@ class _ResidueEngine(_ResidueWalk):
             self._record()
             n, order = len(self.gram), self.fit.order
             if n >= 2 * self.size:
-                self._adopt(self.size, {})
+                self._adopt(self.size, recurrence.certify(self.gram, self.size, self.fit))
             elif n >= 2 * order + 2 and order != self.tried:
                 self.tried = order
                 try:
-                    fit = recurrence.certify(self.gram, order)
+                    gram = recurrence.certify(self.gram, order, self.fit)
                 except recurrence.CertificateError:
                     continue
-                self._adopt(order, {tuple(self.gram): fit})
+                self._adopt(order, gram)
 
-    def _adopt(self, bound: int, fits: dict) -> None:
-        """Certify every series with ``bound``, then extend them by their
-        recurrences.  ``fits`` maps series already certified to their fits;
-        equal series share one fit."""
-        recurrences = {}
+    def _adopt(self, bound: int, gram: recurrence.Recurrence) -> None:
+        """Certify every series with ``bound``, given the Gram series' fit
+        ``gram``, then extend them by their recurrences; equal series share
+        one fit."""
+        fits, recurrences = {tuple(self.gram): gram}, {}
         for key, store in self.series.items():
             values = tuple(store)
             if values not in fits:
@@ -492,7 +507,7 @@ class _ResidueEngine(_ResidueWalk):
             recurrences[key] = fits[values]
         self.recurrences = recurrences
         self.fit = None
-        self.blocks = self.residues = self.moduli = self.gathers = None
+        self.blocks = self.residues = self.moduli = self.reciprocals = self.gathers = None
 
     def _extend(self, family: str, p: int, terms: int) -> list[int]:
         self._advance(terms)

@@ -7,15 +7,21 @@ c_k.  Everything after a fit is integer arithmetic.
 
 One fit, Berlekamp–Massey (BM) over GF(p) for 62-bit primes p, fed one
 term at a time (:class:`ModularBM`); the coefficients are lifted by the
-Chinese remainder theorem with symmetric residues until the lift stops
-changing and regenerates every given term over the integers.  BM mod p
-never returns more than the minimal order over the rationals.  Two uses:
+Chinese remainder theorem with symmetric residues, one prime at a time,
+until the lift regenerates every given term over the integers.  That
+regeneration is the whole test, and the first lift that passes it is the
+answer: BM mod p never returns more than the minimal order over the
+rationals, and an integer recurrence of order L that regenerates N terms
+is a rational one, so L is that minimal order, and for N >= 2L the
+recurrence is the only one of its order.  Two uses:
 
-* ``certify(values, bound)`` certifies the engine series, each known to
-  satisfy some recurrence of order at most ``bound``.  Two recurrences of
-  orders L and L' that agree on L + L' terms agree everywhere, so an
+* ``certify(values, bound, fit)`` certifies the engine series, each known
+  to satisfy some recurrence of order at most ``bound``.  Two recurrences
+  of orders L and L' that agree on L + L' terms agree everywhere, so an
   integer recurrence of order <= bound that regenerates 2·bound terms
-  holds for every n, and it is the minimal one.  The engine
+  holds for every n, and it is the minimal one.  A caller whose running
+  fit modulo ``PRIMES[0]`` has seen exactly ``values`` passes it as
+  ``fit``, so the first prime costs no second BM pass.  The engine
   (:mod:`gridcycles.counting`) knows a bound in two ways.  |U|, for the
   rows U it steps, always holds (Cayley–Hamilton).  A Gram certificate
   gives one earlier.  The engine's Gram series has g(i + j) = <K_i, K_j>
@@ -47,8 +53,8 @@ from dataclasses import dataclass
 from operator import mul
 
 EXTRA_TERMS = 4  # minimal_recurrence accepts order d on 2·d + EXTRA_TERMS terms
-# the primes of the modular fits, 2^62 - d for each d; a fit takes one more
-# than its coefficients need, to see the lift settle
+# the primes of the modular fits, 2^62 - d for each d; a lift takes as many
+# as its coefficients need
 PRIMES = tuple(
     (1 << 62) - d
     for d in (57, 87, 117, 143, 153, 167, 171, 195, 203, 273, 287, 317, 443, 483, 495, 575,
@@ -127,7 +133,9 @@ class ModularBM:
         self.terms: list[int] = []  # the terms mod p
         self.cur = [1]  # 1 - c_1 x - ... - c_L x^L
         self.last = [1]  # cur as of the last length change
-        self.order, self.shift, self.last_delta = 0, 1, 1
+        # the discrepancy at the last length change enters only by its
+        # inverse, so that is kept and inverted once per length change
+        self.order, self.shift, self.last_inverse = 0, 1, 1
 
     def add(self, value: int) -> None:
         p, s, cur, order = self.p, self.terms, self.cur, self.order
@@ -137,12 +145,13 @@ class ModularBM:
         if delta == 0:
             self.shift += 1
             return
-        factor = delta * pow(self.last_delta, -1, p) % p
+        factor = delta * self.last_inverse % p
         new = cur + [0] * (len(self.last) + self.shift - len(cur))
         for k, c in enumerate(self.last, start=self.shift):
             new[k] = (new[k] - factor * c) % p
         if 2 * order <= i:
-            self.last, self.order, self.last_delta, self.shift = cur, i + 1 - order, delta, 1
+            self.last, self.order, self.shift = cur, i + 1 - order, 1
+            self.last_inverse = pow(delta, -1, p)
         else:
             self.shift += 1
         self.cur = new + [0] * (self.order + 1 - len(new))
@@ -160,42 +169,45 @@ def _regenerates(values: list[int], coeffs: list[int]) -> bool:
     )
 
 
-def _lift(values: list[int], bound: int) -> Recurrence | None:
+def _lift(values: list[int], bound: int, fit: ModularBM | None = None) -> Recurrence | None:
     """The integer recurrence that BM finds modulo the primes of PRIMES, or
     None when the primes run out before its lift regenerates every term.
+    ``fit``, if given, is the BM modulo PRIMES[0] already fed ``values``.
 
     A prime under which the order falls below the largest seen reduces the
     series degenerately and is dropped; an order above ``bound`` raises
     CertificateError at once.
     """
-    order, lift, modulus, previous = -1, [], 1, None
+    order, lift, modulus = -1, [], 1
     for p in PRIMES:
-        bm = ModularBM(p)
-        for v in values:
-            bm.add(v)
-        fit = bm.coeffs()
-        if len(fit) > bound:
-            raise CertificateError(f"order {len(fit)} mod {p} exceeds the bound {bound}")
-        if len(fit) < order:
+        if fit is None or fit.p != p:  # the caller's fit serves PRIMES[0] alone
+            fit = ModularBM(p)
+            for v in values:
+                fit.add(v)
+        residues = fit.coeffs()
+        if len(residues) > bound:
+            raise CertificateError(f"order {len(residues)} mod {p} exceeds the bound {bound}")
+        if len(residues) < order:
             continue
-        if len(fit) > order:
-            order, lift, modulus, previous = len(fit), fit, p, None
+        if len(residues) > order:
+            order, lift, modulus = len(residues), residues, p
         else:
-            # Garner: the residue mod modulus·p that is lift mod modulus, fit mod p
+            # Garner: the residue mod modulus·p that is lift mod modulus, residues mod p
             inverse = pow(modulus, -1, p)
-            lift = [x + modulus * ((r - x) * inverse % p) for x, r in zip(lift, fit)]
+            lift = [x + modulus * ((r - x) * inverse % p) for x, r in zip(lift, residues)]
             modulus *= p
         coeffs = [x - modulus if 2 * x > modulus else x for x in lift]
-        if coeffs == previous and _regenerates(values, coeffs):
+        if _regenerates(values, coeffs):
             return Recurrence(order, coeffs)
-        previous = coeffs
     return None
 
 
-def certify(values: list[int], bound: int) -> Recurrence:
+def certify(values: list[int], bound: int, fit: ModularBM | None = None) -> Recurrence:
     """The minimal recurrence of an integer series that satisfies some
     recurrence of order at most ``bound``, from at least 2·bound of its
-    terms (see the module docstring for the argument).
+    terms (see the module docstring for the argument).  ``fit`` is an
+    optional BM modulo ``PRIMES[0]`` that has been fed exactly ``values``;
+    it replaces the fit of the first prime.
 
     Raises CertificateError when an order mod some prime exceeds ``bound``
     or the primes run out before the lift regenerates every term: either
@@ -203,7 +215,12 @@ def certify(values: list[int], bound: int) -> Recurrence:
     """
     if len(values) < 2 * bound:
         raise ValueError(f"certifying order <= {bound} needs {2 * bound} terms, got {len(values)}")
-    rec = _lift(values, bound)
+    if fit is not None and (fit.p != PRIMES[0] or len(fit.terms) != len(values)):
+        raise ValueError(
+            f"a fit mod {fit.p} of {len(fit.terms)} terms cannot stand for the fit mod "
+            f"{PRIMES[0]} of {len(values)} terms"
+        )
+    rec = _lift(values, bound, fit)
     if rec is None:
         raise CertificateError(
             f"no integer recurrence of order <= {bound} regenerates the {len(values)} terms "

@@ -528,7 +528,7 @@ def test_residue_columns_grow_without_restepping(family, m, stepped, monkeypatch
     # one term at a time with a first horizon of at most 16 terms, a fresh
     # engine adds primes to its residue cubes several times on the way to its
     # certified terms; every stepped term is G^n[0, 0] (tr(A^n)) and every
-    # slice residues[b][:, i] is M_b^n e_s mod primes[i]
+    # slice residues[b][:, i] is a signed residue of M_b^n e_s mod primes[i]
     monkeypatch.setattr(ct, "_FIRST_HORIZON", 16)
     engine = ct._tnc_engine(m) if family == "tnc" else ct._trace_engine(m)
     a = (tr.build_glued(m) if family == "tnc" else tr.build_reduced(m)).adj.astype(object)
@@ -541,7 +541,9 @@ def test_residue_columns_grow_without_restepping(family, m, stepped, monkeypatch
         for v, residues in zip(vectors, engine.residues):
             widths.add(residues.shape[1])
             for i, p in enumerate(engine.primes):
-                assert residues[:, i].astype(np.int64).tolist() == (v % p).tolist()
+                signed = residues[:, i].astype(np.int64)
+                assert (signed % p).tolist() == (v % p).tolist()
+                assert (np.abs(signed) < p).all()
         vectors = [matrix @ v for (matrix, _), v in zip(blocks, vectors)]
         power = power @ a
     assert engine.values(family, 0, stepped)[-1] == count(power)
@@ -617,6 +619,18 @@ def test_walk_refuses_gathers_whose_running_sums_overflow(monkeypatch):
         ct._ResidueWalk(blocks, {("a", 0): read, ("a", 1): read})
 
 
+def test_prime_search_skips_only_even_numbers(monkeypatch):
+    # the search tests odd candidates alone and finds what a scan of every
+    # number down from the limit finds
+    plain, q = [], ct._PRIME_LIMIT
+    while len(plain) < 40:
+        if ct._is_prime(q):
+            plain.append(q)
+        q -= 1
+    monkeypatch.setattr(ct, "_PRIMES", [])
+    assert [ct._prime(i) for i in range(40)] == plain
+
+
 def test_residue_primes_are_prime():
     # Miller–Rabin agrees with a sieve, refuses strong pseudoprimes to the
     # first four and the first nine prime bases, and the engine's primes
@@ -644,17 +658,21 @@ def test_prime_limit_follows_the_widest_engine_row():
 
 
 def test_reduction_is_exact_next_to_multiples():
-    # every k·p + d for d in -2..2 up to rowmax·(p - 1), rowmax = Lucas(18),
-    # reduces to its exact residue, although floor(w·(1/p)) misses the
-    # quotient by one both ways for some of these primes
-    moduli = np.array([ct._prime(i) for i in range(24)], dtype=np.float64)
-    k = np.arange(5779, dtype=np.float64)[:, None, None]
-    w = (k * moduli + np.arange(-2, 3, dtype=np.float64)[None, :, None]).reshape(-1, len(moduli))
-    w = np.where((w >= 0) & (w <= 5778 * (moduli - 1)), w, 0)
-    naive = w - np.floor(w * (1 / moduli)) * moduli
-    assert (naive < 0).any() and (naive >= moduli).any()
-    exact = w.astype(np.int64) % moduli.astype(np.int64)
-    assert np.array_equal(ct._reduce(w, moduli).astype(np.int64), exact)
+    # for the greatest and the least of the first 256 primes, every w of
+    # either sign at 0, k·p and k·p ± 1 for 0 < k < rowmax = Lucas(18), next
+    # to the halves k·p + (p ± 1)/2 where rint rounds either way, and at
+    # rowmax·p - 1 reduces to a w - q·p with |w - q·p| <= p/2 + 2 < p
+    for p in (ct._prime(0), ct._prime(255)):
+        k = np.arange(1, 5778, dtype=np.int64)
+        near = [k * p + d for d in (-1, 0, 1, (p - 1) // 2, (p + 1) // 2)]
+        w = np.concatenate([[0, 5778 * p - 1], *near])
+        w = np.concatenate([w, -w])
+        assert np.abs(w).max() < 1 << 53
+        modulus = np.array([p], dtype=np.float64)
+        r = ct._reduce(w.astype(np.float64), modulus, 1 / modulus).astype(np.int64)
+        assert ((r - w) % p == 0).all()
+        assert (np.abs(r) <= p // 2 + 2).all()
+        assert (r < 0).any() and (r > 0).any()
 
 
 def test_mulmod_is_exact_next_to_multiples():

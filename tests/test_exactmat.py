@@ -83,8 +83,8 @@ def test_pow_addition_law(m, i, j):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_cylinder_vector_is_a_power_column(m):
-    # the thin-cylinder engine keeps G^n e_0 modulo primes[i] at
-    # residues[0][:, i, 0], and lifts G^n[0, 0] from row 0
+    # the thin-cylinder engine keeps G^n e_0 modulo primes[i], as signed
+    # residues, at residues[0][:, i, 0], and lifts G^n[0, 0] from row 0
     engine = counting._tnc_engine(m)
     g = transfer.build_glued(m).adj.astype(object)
     power = g
@@ -92,7 +92,7 @@ def test_cylinder_vector_is_a_power_column(m):
         _step_to(engine, n)
         assert len(engine.primes) == engine.residues[0].shape[1] >= 1
         for p, column in zip(engine.primes, engine.residues[0][:, :, 0].T):
-            assert column.astype(np.int64).tolist() == (power[:, 0] % p).tolist()
+            assert (column.astype(np.int64) % p).tolist() == (power[:, 0] % p).tolist()
         assert engine.series["tnc", 0][n - 1] == power[0, 0]
         power = power @ g
 

@@ -226,6 +226,65 @@ def test_certified_fit_holds_beyond_its_terms(case, slack):
     assert _generated(rec.coeffs, seq[: rec.order], len(seq)) == seq
 
 
+wide_recurrences = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.integers(-(1 << 130), 1 << 130), min_size=d, max_size=d),
+        st.lists(st.integers(-(1 << 20), 1 << 20), min_size=d, max_size=d),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(recurrences, wide_recurrences), st.integers(0, 3))
+def test_certificate_on_a_fed_fit_matches_a_fresh_one(case, slack):
+    # a running BM mod PRIMES[0] that has seen exactly the terms stands in
+    # for the certificate's first fit, also when the coefficients need
+    # several primes, and the result is the fresh certificate's and the
+    # minimal recurrence
+    coeffs, init = case
+    bound = len(coeffs) + slack
+    seq = _generated(coeffs, init, 2 * bound + rc.EXTRA_TERMS)
+    fit = rc.ModularBM(rc.PRIMES[0])
+    for v in seq:
+        fit.add(v)
+    rec = rc.certify(seq, bound, fit)
+    assert rec == rc.certify(seq, bound) == rc.minimal_recurrence(seq)
+    assert len(fit.terms) == len(seq)
+
+
+def test_certificate_refuses_a_fit_of_other_terms():
+    seq = _generated([1, 1], [1, 1], 8)
+    fit = rc.ModularBM(rc.PRIMES[0])
+    for v in seq[:-1]:
+        fit.add(v)
+    with pytest.raises(ValueError, match="7 terms"):
+        rc.certify(seq, 2, fit)
+    fit = rc.ModularBM(rc.PRIMES[1])
+    for v in seq:
+        fit.add(v)
+    with pytest.raises(ValueError, match=f"mod {rc.PRIMES[1]}"):
+        rc.certify(seq, 2, fit)
+
+
+@pytest.mark.parametrize("m,fits", [(10, 0), (13, 2)])
+def test_gram_certificate_reuses_the_running_fit(m, fits, monkeypatch):
+    # the engine's running BM mod PRIMES[0] is the Gram certificate's first
+    # fit: at m = 10 one prime lifts the coefficients and no fit is made, at
+    # m = 13 the two more primes the lift needs are the only fits made
+    engine = ct._tnc_engine(m)
+    made = []
+
+    class Counted(rc.ModularBM):
+        def __init__(self, p):
+            made.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(rc, "ModularBM", Counted)
+    rec = engine.recurrence("tnc", 0)
+    assert len(made) == fits and rc.PRIMES[0] not in made
+    assert rec == rc.certify(engine.series["tnc", 0][: 2 * rec.order + 2], rec.order)
+
+
 def test_certificate_needs_two_bound_terms():
     with pytest.raises(ValueError):
         rc.certify([1, 5, 13], 2)
