@@ -21,6 +21,7 @@ from .alphabet import (
 from .counting import (
     GridSpec,
     Series,
+    Spectrum,
     count,
     count_kb,
     count_tg,
@@ -29,7 +30,7 @@ from .counting import (
     verify_route_agreement,
     zero_component_spectrum,
 )
-from .exactmat import Spectrum, amplitude_estimate
+from .exactmat import amplitude_estimate
 from .oracle import Multigraph, build_grid, count_grid, count_two_factors
 from .recurrence import (
     RationalGF,

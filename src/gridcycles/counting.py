@@ -62,7 +62,6 @@ import numpy as np
 
 from . import recurrence, transfer
 from .alphabet import column_word_codes, horizontal_convert_codes
-from .exactmat import Spectrum
 from .transfer import ResourceLimitError
 
 FAMILIES = ("tnc", "tg", "kb")
@@ -89,6 +88,13 @@ class GridSpec:
             object.__setattr__(self, "p", self.p % self.m)
         if self.n is not None and self.n < 1:
             raise ValueError(f"length must be >= 1, got {self.n}")
+
+
+@dataclass
+class Spectrum:
+    """The Perron root of a transfer digraph component."""
+
+    theta: float
 
 
 def decimal_str(v: int) -> str:
@@ -185,7 +191,8 @@ def _reduce(w: np.ndarray, moduli: np.ndarray, reciprocals: np.ndarray) -> np.nd
     being above 1.5·10^12.  So the residues stay below p in absolute
     value: every partial sum of the next product, at most rowmax terms,
     stays below rowmax·p <= 2^53, and a gather of ``pairs`` of them below
-    pairs·p < 2^63 (both checked when the walk is built)."""
+    pairs·p < 2^63 (both checked when the walk is built).  They stay signed
+    from here on: a growth extends them and a read lifts them as they are."""
     q = w * reciprocals
     np.rint(q, out=q)
     q *= moduli
@@ -194,15 +201,16 @@ def _reduce(w: np.ndarray, moduli: np.ndarray, reciprocals: np.ndarray) -> np.nd
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """a·b mod q elementwise, for int64 arrays with 0 <= a, b < q < 2^50.
+    """a·b mod q in [0, q) elementwise, for int64 arrays with |a| < q,
+    0 <= b < q < 2^50: a may be any residue, of either sign.
 
     y = a·b·(1/q) in float64 takes three roundings, so it is within
-    3·2^-53·a·b/q < q·2^-51 < 1/2 of a·b/q < q: floor(y) misses
-    floor(a·b/q) by at most one either way, and not upward when q divides
-    a·b.  So a·b - floor(y)·q lies in (-q, 2q).  int64 products wrap
-    modulo 2^64 and (-q, 2q) lies within the int64 range, so the wrapped
-    difference is that value exactly; one correction each way lands in
-    [0, q)."""
+    3·2^-53·|a·b|/q < q·2^-51 < 1/2 of a·b/q, and |a·b/q| < q: floor(y)
+    misses floor(a·b/q) by at most one either way, and not upward when q
+    divides a·b.  So a·b - floor(y)·q lies in (-q, 2q).  int64 products
+    wrap modulo 2^64 and (-q, 2q) lies within the int64 range, so the
+    wrapped difference is that value exactly; one correction each way
+    lands in [0, q)."""
     quot = np.floor(a.astype(np.float64) * b * (1 / q)).astype(np.int64)
     r = a * b - quot * q
     np.add(r, q, out=r, where=r < 0)
@@ -218,11 +226,12 @@ def _base_extension(old: list[int], new: list[int]):
     modulo the ``new`` ones, in int64 and float64 alone, of integers
     0 <= x < M/2, M the product of the old primes (a base extension in
     the residue number system; Shenoy and Kumaresan 1989).  It maps an
-    (entries, k) int64 array r, r[e, i] = x_e mod p_i for the k old
-    primes p_i, to the (entries, len(new)) int64 array of x_e mod q.
+    (entries, k) int64 array r, r[e, i] ≡ x_e mod p_i with |r[e, i]| < p_i
+    (any residue, of either sign) for the k old primes p_i, to the
+    (entries, len(new)) int64 array of x_e mod q in [0, q).
 
-    With M_i = M/p_i and z_i = r_i·(M_i^-1 mod p_i) mod p_i (one
-    :func:`_mulmod`), sum_i z_i·M_i = x + α·M for an integer α, so
+    With M_i = M/p_i and z_i = r_i·(M_i^-1 mod p_i) mod p_i in [0, p_i)
+    (one :func:`_mulmod`), sum_i z_i·M_i = x + α·M for an integer α, so
     sum_i z_i/p_i = α + x/M and
     x mod q = (sum_i z_i·(M_i mod q) + α·(-M mod q)) mod q.  x < M/2 puts
     α + x/M in [α, α + 1/2), and the float64 sum of the z_i·(1/p_i), each
@@ -297,7 +306,7 @@ class _ResidueWalk:
     at ``bounds[t]:bounds[t + 1]``.  A term takes one gather per block, a
     running int64 sum down it and its differences at the bounds (0 for a
     series with no pairs in the block), so every series is summed modulo
-    each prime at once (``%`` takes the signed sums to [0, p)), then lifted
+    each prime at once, then its signed sums are lifted as they are
     by Garner's CRT over the shortest prefix of the primes whose product
     exceeds weight·rowmax^n, weight the most pairs any read sums, since
     rowmax^n bounds every entry of M^n e_s.
@@ -310,9 +319,9 @@ class _ResidueWalk:
     request within ``_FIRST_HORIZON``.  The primes of a horizon have a
     product above 2·weight·rowmax^horizon, so when a growth adds primes,
     every entry of every M^n e_s is below half the product of the old ones,
-    and :func:`_base_extension` takes its residues, moved to [0, p), to the
-    new primes in int64 and float64 arithmetic, for the entries of all
-    blocks at once, with no big-integer lift; no column is stepped twice.
+    and :func:`_base_extension` takes its signed residues to the new primes
+    in int64 and float64 arithmetic, block by block in chunks of rows, with
+    no big-integer lift; no column is stepped twice.
     """
 
     def __init__(self, blocks: list[tuple[np.ndarray, list[int]]], reads: dict):
@@ -383,37 +392,20 @@ class _ResidueWalk:
         for b, (matrix, starts) in enumerate(self.blocks):
             cube = np.zeros((len(matrix), len(self.primes), len(starts)))
             if old:
+                # every entry of M^n e_s is at most rowmax^n < products[old]/2,
+                # so its signed residues extend from the old primes to the
+                # new ones, in chunks of rows of about _CHUNK residues
                 cube[:, :old] = self.residues[b]
+                step = max(1, _CHUNK // (old * len(starts)))
+                for top in range(0, len(cube), step):
+                    piece = cube[top : top + step]
+                    x = extend(piece[:, :old].transpose(0, 2, 1).reshape(-1, old).astype(np.int64))
+                    piece[:, old:] = x.reshape(len(piece), len(starts), -1).transpose(0, 2, 1)
             else:  # e_s at n = 0
                 cube[starts, :, np.arange(len(starts))] = 1
             self.residues[b] = cube
         self.moduli = np.array(self.primes, dtype=np.float64)[:, None]
         self.reciprocals = 1 / self.moduli
-        if not old:
-            return
-        # every entry of M^n e_s is at most rowmax^n < products[old]/2, so
-        # the old primes extend to the new ones, from the signed residues
-        # taken to [0, p); the entries of all blocks go through in chunks of
-        # about _CHUNK residues
-        old_primes = np.array(self.primes[:old], dtype=np.int64)
-        limit, groups, size = max(1, _CHUNK // old), [[]], 0
-        for cube in self.residues:
-            step = max(1, limit // cube.shape[2])
-            for top in range(0, len(cube), step):
-                piece = cube[top : top + step]
-                groups[-1].append(piece)
-                size += piece.shape[0] * piece.shape[2]
-                if size >= limit:
-                    groups.append([])
-                    size = 0
-        for group in filter(None, groups):
-            flat = [piece[:, :old].transpose(0, 2, 1).reshape(-1, old) for piece in group]
-            x = extend(np.concatenate(flat, dtype=np.int64, casting="unsafe") % old_primes)
-            at = 0
-            for piece in group:
-                rows, _, width = piece.shape
-                piece[:, old:] = x[at : at + rows * width].reshape(rows, width, -1).transpose(0, 2, 1)
-                at += rows * width
 
     def _walk(self, terms: float) -> None:
         """Step every block by one term; ``terms`` is the request."""
@@ -427,7 +419,8 @@ class _ResidueWalk:
 
     def _lift(self, residues):
         """The least non-negative integers (or integer arrays) with the
-        given residues modulo primes[0], primes[1], ... (Garner)."""
+        given residues, of either sign, modulo primes[0], primes[1], ...
+        (Garner; Python's ``%`` takes a negative sum as it is)."""
         x = 0
         for r, q, product, inverse in zip(residues, self.primes, self.products, self.inverses):
             x += product * ((r - x % q) * inverse % q)
@@ -444,7 +437,6 @@ class _ResidueWalk:
             # where np.add.reduceat would return the next element
             ends = running.take(bounds, axis=0)
             total += ends[1:] - ends[:-1]
-        total %= np.array(self.primes[:k], dtype=np.int64)
         for store, residues in zip(self.series.values(), total.tolist()):
             store.append(self._lift(residues))
 
@@ -461,8 +453,8 @@ class _ResidueEngine(_ResidueWalk):
     characteristic polynomial of M on U, so 2·|U| terms always certify.
     Both certificates of the Gram series take the running BM as their fit
     modulo ``PRIMES[0]``, so no prime's fit runs twice.
-    Once certified, ``recurrences[family, p]`` extends each series, and
-    the blocks, residues and gathers are dropped.
+    Once certified, ``recurrences[family, p]`` extends each series as far
+    as it is asked for, and the blocks, residues and gathers are dropped.
     """
 
     def __init__(
@@ -511,10 +503,10 @@ class _ResidueEngine(_ResidueWalk):
 
     def _extend(self, family: str, p: int, terms: int) -> list[int]:
         self._advance(terms)
-        while len(self.gram) < terms:  # past certification only
-            for key, store in self.series.items():
-                store.append(self.recurrences[key].next(store))
-        return self.series[family, p]
+        store = self.series[family, p]
+        while len(store) < terms:  # past certification only
+            store.append(self.recurrences[family, p].next(store))
+        return store
 
     def term(self, family: str, p: int, n: int) -> int:
         with self.lock:
@@ -532,14 +524,17 @@ class _ResidueEngine(_ResidueWalk):
 
 
 def _trace_engine(m: int) -> _ResidueEngine:
-    """Torus/Klein counts on the reduced digraph A, one block per component
-    that holds a start, built from :func:`transfer.reduced_arcs` without
-    the dense 2^m × 2^m matrix.
+    """Torus/Klein counts on the reduced digraph A, one block per component,
+    built from :func:`transfer.reduced_arcs` without the dense 2^m × 2^m
+    matrix.
 
-    One start per rotation orbit, its least word r.  A is symmetric and
-    commutes with the rotation R, so with k over the |orbit(r)| members,
-    tg(n, p) = sum_r sum_k (A^n e_r)[R^p r] and kb(n, p) = sum_r sum_k
-    (A^n e_r)[R^(-p-2k) rev(r)]; rows outside the component of r read 0.
+    One start per rotation orbit, its least word r.  Every component is
+    closed under rotation, so its least word is a start; a component that
+    holds none is refused, since the growth divides by the starts of each
+    block.  A is symmetric and commutes with the rotation R, so with k over
+    the |orbit(r)| members, tg(n, p) = sum_r sum_k (A^n e_r)[R^p r] and
+    kb(n, p) = sum_r sum_k (A^n e_r)[R^(-p-2k) rev(r)]; rows outside the
+    component of r read 0.
     """
     n_words = 1 << m
     src, outlets = transfer.reduced_arcs(np.arange(n_words), m)
@@ -549,14 +544,12 @@ def _trace_engine(m: int) -> _ResidueEngine:
     words = np.arange(n_words)
     rotations = np.stack([transfer.rotate_words(words, k, m) for k in range(m)])
     reps = np.flatnonzero(rotations.min(axis=0) == words)
-    # the components that hold a start are the blocks, in the order of their
-    # least start: label[x] is the block of word x (-1 outside them), local[x]
-    # its index in the block, column[r] the column of start r in the block
-    least = transfer.arc_components(n_words, src, outlets)
-    roots, first = np.unique(least[reps], return_index=True)
-    label = np.full(n_words, -1)
-    label[roots[np.argsort(first)]] = np.arange(len(roots))
-    label = label[least]
+    # the components are the blocks, in the order of their least words:
+    # label[x] is the block of word x, local[x] its index in the block,
+    # column[r] the column of start r in the block
+    roots, label = np.unique(transfer.arc_components(n_words, src, outlets), return_inverse=True)
+    if len(np.unique(label[reps])) < len(roots):
+        raise AssertionError(f"a component of the reduced digraph m={m} holds no start")
     local, column = np.zeros((2, n_words), dtype=np.int64)
     blocks = []
     for b in range(len(roots)):

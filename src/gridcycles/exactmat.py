@@ -1,4 +1,4 @@
-"""The spectral result type and the amplitude estimate.
+"""The amplitude estimate of the thin-cylinder counts.
 
 Every Perron root comes from :mod:`gridcycles.counting`, as the greatest
 eigenvalue of a symmetrised glued quotient (``numpy.linalg.eigvalsh``).
@@ -13,15 +13,9 @@ functions are pure and reentrant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-
-@dataclass
-class Spectrum:
-    """The Perron root of a transfer digraph component."""
-
-    theta: float
+from . import counting
 
 
 def amplitude_estimate(m: int, n_max: int = 80) -> float:
@@ -32,7 +26,5 @@ def amplitude_estimate(m: int, n_max: int = 80) -> float:
     geometrically in n_max.  The ratio is formed as an exact fraction,
     since the count alone leaves the float range past about 1e308.
     """
-    from . import counting  # local import; counting depends on this module
-
     theta = counting.zero_component_spectrum(m).theta
     return float(Fraction(counting.count_tnc(m, n_max)) / Fraction(theta) ** n_max)

@@ -676,12 +676,14 @@ def test_reduction_is_exact_next_to_multiples():
 
 
 def test_mulmod_is_exact_next_to_multiples():
-    # a·b ≡ d (mod q) for d in -2..2, 300 random a and 24 engine primes q,
-    # gives Python's a·b % q, although floor(a·b·(1/q)) in float64 misses
-    # the quotient by one both ways for some of these products
+    # a·b ≡ d (mod q) for d in -2..2, 300 random a of either sign, a = -(q - 1)
+    # and 24 engine primes q, gives Python's a·b % q, although
+    # floor(a·b·(1/q)) in float64 misses the quotient by one both ways for
+    # some of these products
     rng = np.random.default_rng(5)
     q = np.array([ct._prime(i) for i in range(24)], dtype=np.int64)[None, :, None]
-    a = np.repeat(rng.integers(1, q[..., 0], size=(300, 24))[..., None], 5, axis=2)
+    a = rng.integers(1, q[..., 0], size=(300, 24))
+    a = np.repeat(np.concatenate([a, -a, 1 - q[..., 0]])[..., None], 5, axis=2)
     inverses = [[pow(int(x), -1, int(p)) for x, p in zip(row, q[0, :, 0])] for row in a[..., 0]]
     b = np.array(inverses)[..., None] * np.arange(-2, 3) % q
     quotient = np.floor(a.astype(np.float64) * b * (1 / q)).astype(np.int64)
@@ -697,7 +699,9 @@ def test_base_extension_matches_python_residues(data):
     # any split of engine primes into old and new ones extends every
     # 0 <= x < M/2, M the product of the old primes: the ends, random x,
     # and x below 2^(bits(M) - 100), where x/M is so small that the float
-    # sum of the CRT quotient lands just below an integer
+    # sum of the CRT quotient lands just below an integer; the residues of x
+    # modulo p are taken in [0, p) and, as the walk keeps them, signed: each
+    # r ≡ x drawn from (-p/2 - 2, p/2 + 2]
     indices = data.draw(st.lists(st.integers(0, 47), min_size=2, max_size=24, unique=True))
     split = data.draw(st.integers(1, len(indices) - 1))
     primes = [ct._prime(i) for i in indices]
@@ -708,7 +712,13 @@ def test_base_extension_matches_python_residues(data):
         tiny = st.integers(0, (1 << (half.bit_length() - 99)) - 1)
         xs += data.draw(st.lists(tiny, min_size=1, max_size=8))
     residues = np.array([[x % p for p in old] for x in xs], dtype=np.int64)
-    assert ct._base_extension(old, new)(residues).tolist() == [[x % q for q in new] for x in xs]
+    expected = [[x % q for q in new] for x in xs]
+    assert ct._base_extension(old, new)(residues).tolist() == expected
+    p = np.array(old, dtype=np.int64)
+    lower = data.draw(st.lists(st.booleans(), min_size=residues.size, max_size=residues.size))
+    lower = np.reshape(lower, residues.shape) & (residues - p >= -(p // 2) - 2)
+    signed = np.where(lower | (residues > p // 2 + 2), residues - p, residues)
+    assert ct._base_extension(old, new)(signed).tolist() == expected
 
 
 def test_base_extension_at_many_primes():
@@ -757,8 +767,8 @@ def test_growth_keeps_the_entries_below_half_the_old_product(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 300])
 def test_growth_chunks_extend_the_same_residues(chunk, monkeypatch):
-    # chunks of one row of one block, or of rows from several blocks at
-    # once, extend the same residues as one chunk for every entry
+    # chunks of one row, or of several rows, of a block extend the same
+    # residues as one chunk for the whole block
     monkeypatch.setattr(ct, "_FIRST_HORIZON", 8)
     whole = ct._trace_engine(6)
     whole.values("tg", 0, 40)
@@ -768,6 +778,19 @@ def test_growth_chunks_extend_the_same_residues(chunk, monkeypatch):
     assert len(chunked.blocks) > 1 and len(chunked.primes) > 2
     for a, b in zip(chunked.residues, whole.residues):
         assert np.array_equal(a, b)
+
+
+def test_certified_engine_extends_only_the_requested_series():
+    # past certification at 54 terms, asking for 120 terms of tg(n, 0)
+    # extends that series alone; kb(n, 1) goes on from its own recurrence
+    # when it is asked for
+    engine = ct._trace_engine(6)
+    engine.recurrence("tg", 0)
+    stepped = len(engine.series["kb", 1])
+    assert stepped == 54
+    engine.values("tg", 0, 120)
+    assert len(engine.series["tg", 0]) == 120 and len(engine.series["kb", 1]) == stepped
+    assert engine.values("kb", 1, 120) == ct._trace_engine(6).values("kb", 1, 120)
 
 
 def test_miller_rabin_bases_follow_the_size():
@@ -791,6 +814,14 @@ def test_engine_refuses_a_non_symmetrisable_quotient(monkeypatch):
     monkeypatch.setattr(tr, "reduced_arcs", lambda inlets, m: tuple(a[1:] for a in real(inlets, m)))
     with pytest.raises(AssertionError, match="not symmetric"):
         tr.build_glued(4)
+
+
+def test_trace_engine_refuses_a_component_without_a_start(monkeypatch):
+    # each word its own component: the words that are not the least of
+    # their rotation orbit make blocks with no start
+    monkeypatch.setattr(tr, "arc_components", lambda nodes, src, dst: np.arange(nodes))
+    with pytest.raises(AssertionError, match="holds no start"):
+        ct._trace_engine(4)
 
 
 def test_engine_refuses_an_asymmetric_reduced_digraph(monkeypatch):

@@ -26,7 +26,8 @@ def _step_to(engine, n):
 
 def _layout(m):
     # the trace engine's blocks: each component of A that holds a rotation
-    # representative, by least representative, as (members, representatives)
+    # representative (every one does), by least representative, as
+    # (members, representatives)
     labels = transfer.components(transfer.build_reduced(m)).labels
     words = [format(x, f"0{m}b") for x in range(1 << m)]
     reps = [x for x, w in enumerate(words) if w == min(rotate(w, k) for k in range(m))]
@@ -52,11 +53,13 @@ def _vectors(engine, m, layout):
 
 @pytest.mark.parametrize("m", range(2, 10))
 def test_trace_blocks_are_the_census_components(m):
-    # each block is A on one census component that holds a representative,
-    # in the order of their least representatives, started at those
-    a = transfer.build_reduced(m).adj
+    # each block is A on one census component, every one of which holds a
+    # representative, in the order of their least representatives, started
+    # at those
+    d = transfer.build_reduced(m)
+    a = d.adj
     blocks, layout = counting._trace_engine(m).blocks, _layout(m)
-    assert len(blocks) == len(layout)
+    assert len(blocks) == len(layout) == transfer.components(d).n_components
     for (matrix, starts), (members, reps) in zip(blocks, layout):
         assert np.array_equal(matrix, a[np.ix_(members, members)])
         assert starts == [members.index(r) for r in reps]
