@@ -548,12 +548,12 @@ def _trace_engine(m: int) -> _ResidueEngine:
     # label[x] is the block of word x, local[x] its index in the block,
     # column[r] the column of start r in the block
     roots, label = np.unique(transfer.arc_components(n_words, src, outlets), return_inverse=True)
-    if len(np.unique(label[reps])) < len(roots):
-        raise AssertionError(f"a component of the reduced digraph m={m} holds no start")
     local, column = np.zeros((2, n_words), dtype=np.int64)
     blocks = []
     for b in range(len(roots)):
         members, block_starts = np.flatnonzero(label == b), reps[label[reps] == b]
+        if not len(block_starts):
+            raise AssertionError(f"a component of the reduced digraph m={m} holds no start")
         local[members] = np.arange(len(members))
         column[block_starts] = np.arange(len(block_starts))
         matrix, arcs = np.zeros((len(members), len(members))), label[src] == b

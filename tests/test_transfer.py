@@ -413,15 +413,17 @@ def test_glued_sizes(m, expected):
 
 def test_glued_build_leaves_numpy_ma_unloaded():
     # np.unique without return_* imports numpy.ma (about 8 ms) on numpy 2.4;
-    # if import numpy alone leaves it unloaded, so do the glued builds
+    # if import numpy alone leaves it unloaded, so do the glued builds and
+    # the trace engines
     script = (
         "import sys, numpy\n"
         "if 'numpy.ma' in sys.modules:\n"
         "    print('loaded by numpy')\n"
         "else:\n"
-        "    from gridcycles import transfer\n"
+        "    from gridcycles import counting, transfer\n"
         "    for m in range(2, 11):\n"
         "        transfer.build_glued(m)\n"
+        "        counting._trace_engine(m)\n"
         "    print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(tr.__file__).resolve().parents[1])
