@@ -10,7 +10,9 @@ output is intended.  The set:
 * ``series tnc m --terms 60`` for m = 2..16;
 * ``series tg|kb m --p p --terms 25`` for m = 2..9 and every twist p;
 * ``digraph m --kind full|reduced|glued --stats --json`` for m = 2..10;
-* ``count tnc 13 --n 2000``.
+* ``count tnc 13 --n 2000``;
+* ``digraph m --kind glued --dump`` for m = 2..16;
+* ``series tg 10 --p 1 --terms 10`` and ``series kb 11 --p 2 --terms 6``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ RUNS = (
         for kind in ("full", "reduced", "glued")
     ]
     + ["count tnc 13 --n 2000"]
+    + [f"digraph {m} --kind glued --dump" for m in range(2, 17)]
+    + ["series tg 10 --p 1 --terms 10", "series kb 11 --p 2 --terms 6"]
 )
 
 
