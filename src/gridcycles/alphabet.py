@@ -161,16 +161,6 @@ def enumerate_column_words(m: int) -> list[str]:
     return decode_words(column_word_codes(m), m)
 
 
-def first_column_words(m: int) -> list[str]:
-    """Column words usable as a leftmost column (no left edges): over {a,b,c}."""
-    return decode_words(column_word_codes(m, "abc"), m)
-
-
-def last_column_words(m: int) -> list[str]:
-    """Column words usable as a rightmost column (no right edges): over {b,d,f}."""
-    return decode_words(column_word_codes(m, "bdf"), m)
-
-
 _H_CODES = np.array([LETTER_IDS.index(x.translate(_H_MAP)) for x in LETTER_IDS], dtype=np.int64)
 
 

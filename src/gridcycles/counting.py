@@ -528,13 +528,15 @@ def _trace_engine(m: int) -> _ResidueEngine:
     built from :func:`transfer.reduced_arcs` without the dense 2^m × 2^m
     matrix.
 
-    One start per rotation orbit, its least word r.  Every component is
-    closed under rotation, so its least word is a start; a component that
-    holds none is refused, since the growth divides by the starts of each
-    block.  A is symmetric and commutes with the rotation R, so with k over
-    the |orbit(r)| members, tg(n, p) = sum_r sum_k (A^n e_r)[R^p r] and
-    kb(n, p) = sum_r sum_k (A^n e_r)[R^(-p-2k) rev(r)]; rows outside the
-    component of r read 0.
+    The components are the classes of :func:`transfer.charge`, numbered by
+    charge, which orders them by their least words too; an arc that changes
+    the charge is refused.  One start per rotation orbit, its least word r.
+    Every class is closed under rotation, so its least word is a start; a
+    block that holds none is refused, since the growth divides by the
+    starts of each block.  A is symmetric and commutes with the rotation
+    R, so with k over the |orbit(r)| members, tg(n, p) = sum_r sum_k
+    (A^n e_r)[R^p r] and kb(n, p) = sum_r sum_k (A^n e_r)[R^(-p-2k) rev(r)];
+    rows outside the component of r read 0.
     """
     n_words = 1 << m
     src, outlets = transfer.reduced_arcs(np.arange(n_words), m)
@@ -544,13 +546,14 @@ def _trace_engine(m: int) -> _ResidueEngine:
     words = np.arange(n_words)
     rotations = np.stack([transfer.rotate_words(words, k, m) for k in range(m)])
     reps = np.flatnonzero(rotations.min(axis=0) == words)
-    # the components are the blocks, in the order of their least words:
-    # label[x] is the block of word x, local[x] its index in the block,
-    # column[r] the column of start r in the block
-    roots, label = np.unique(transfer.arc_components(n_words, src, outlets), return_inverse=True)
+    # label[x] is the block of word x, its charge, local[x] its index in the
+    # block, column[r] the column of start r in the block
+    label = transfer.charge(words, m)
+    if not np.array_equal(label[src], label[outlets]):
+        raise AssertionError(f"an arc of the reduced digraph m={m} changes the charge")
     local, column = np.zeros((2, n_words), dtype=np.int64)
     blocks = []
-    for b in range(len(roots)):
+    for b in range(label.max() + 1):
         members, block_starts = np.flatnonzero(label == b), reps[label[reps] == b]
         if not len(block_starts):
             raise AssertionError(f"a component of the reduced digraph m={m} holds no start")
@@ -747,11 +750,11 @@ def component_spectra(
     d: transfer.TransferDigraph, census: transfer.ComponentCensus
 ) -> list[Spectrum]:
     """Dominant eigenvalue of every component of a reduced digraph, in the
-    order of its census, each computed on the glued quotient walked from
-    the component's least member.  That walk covers the component alone
-    only if rotation and reversal map the component to itself, so the
-    orbit sizes of each quotient must sum to the component's size; a
-    mismatch raises.  Exposed so the (observed, unproven) agreement between the whole
+    order of its census, each computed on the glued quotient of the charge
+    class of the component's least member.  That class is the component
+    only if the census agrees with :func:`transfer.charge`, so the orbit
+    sizes of each quotient must sum to the component's size; a mismatch
+    raises.  Exposed so the (observed, unproven) agreement between the whole
     digraph's spectral radius and its 1^m component can be inspected rather
     than assumed."""
     orbit_sizes = np.bincount(transfer.dihedral_least(d.m))

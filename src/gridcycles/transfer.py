@@ -8,10 +8,10 @@ Three digraph granularities drive the counting routes:
   the number of column words with inlet u and outlet w (0, 1 or 2).  Its
   entries sum to 3^m + (-1)^m, and its arcs keep :func:`symmetry_faults`.
 * ``glued``   — vertices are the orbits of one component of the reduced
-  digraph (the all-zero one by default) under rotation and reversal,
-  reached by one walk over orbit representatives without the dense
-  matrix; sufficient for the thin-cylinder count and for every Perron
-  root.
+  digraph (the all-zero one by default) under rotation and reversal: the
+  dihedral orbits of the root's :func:`charge` class, folded without the
+  dense matrix; sufficient for the thin-cylinder count and for every
+  Perron root.
 
 Every reduced arc comes from :func:`reduced_arcs`, which joins two cached
 tables of open chains, each about half the width; the full digraph and
@@ -20,11 +20,12 @@ Every digraph holds its vertices as int64 codes: letter-word codes of
 :func:`gridcycles.alphabet.column_word_codes` on full digraphs, binary
 words on reduced and glued ones; the ``str`` words are decoded only when
 asked for.  Letter-word codes become inlet and outlet classes in
-:func:`word_classes` alone, through per-letter bit tables.  Components
-are found by one routine, :func:`arc_components`, over arc index arrays:
-:func:`components` reads them from :meth:`TransferDigraph.arcs` (on a
-full digraph always through binary-word nodes, never a matrix), and the
-torus/Klein engine from :func:`reduced_arcs`.
+:func:`word_classes` alone, through per-letter bit tables.  The
+components of the reduced digraph are the classes of :func:`charge`, a
+closed form that every arc keeps; the glued quotient and the torus/Klein
+engine take them from it.  The census :func:`components` searches for
+them with :func:`arc_components` over :meth:`TransferDigraph.arcs` (on a
+full digraph always through binary-word nodes, never a matrix).
 
 Every width limit, of these builders and of the counting engines, is one
 row of :data:`LIMITS`, and :func:`check_width` is its one refusal; the
@@ -59,8 +60,8 @@ LIMITS = {
     # the dense 2^m-square multiplicity matrix
     "reduced": (14, "reduced dense matrix"),
     # the glued quotient generates the arcs out of each orbit representative
-    # once from the joined chain tables of reduced_arcs, 0.24–0.44 s at
-    # m = 17 and 18; its engine steps one dense block
+    # once from the joined chain tables of reduced_arcs, 0.17–0.24 s and
+    # 70–76 MB peak RSS at m = 17 and 18; its engine steps one dense block
     "glued": (18, "glued quotient and thin-cylinder counts"),
     # the trace engine steps float64 residues of A^n e_s, one column per
     # rotation orbit and prime, in two 1024-row blocks at m = 11: there
@@ -344,6 +345,25 @@ def dihedral_least(m: int) -> np.ndarray:
     return least
 
 
+def charge(words: np.ndarray, m: int) -> np.ndarray:
+    """The charge of each int word u of width m: |Σ_j (-1)^j u_j| at even m,
+    popcount(u) mod 2 at odd m, in one pass per row.
+
+    Every reduced arc u -> w keeps it.  Each row of a column word has degree
+    2 in the 2-factor, u_j + w_j + s_j + s_(j+1) = 2 with s_j its up bit, so
+    Σ w_j = 2m - Σ u_j - 2·Σ s_j keeps the parity, and at even m the signed
+    sum, in which each s_j appears once with each sign, gives alt(w) =
+    -alt(u).  Rotation and reversal keep the charge too.  That each class is
+    one component is checked, not proved: against :func:`arc_components` in
+    the tests, and by the vertex counts of :func:`build_glued`.
+    """
+    sign = -1 if m % 2 == 0 else 1
+    total = np.zeros(len(words), dtype=np.int64)
+    for j in range(m):
+        total += sign**j * ((words >> j) & 1)
+    return np.abs(total) if m % 2 == 0 else total & 1
+
+
 def symmetry_faults(src: np.ndarray, dst: np.ndarray, m: int) -> list[str]:
     """The laws of the reduced digraph A that the int32 arcs src[i] -> dst[i]
     break, of "transpose" (A = Aᵀ), "rotation", "reversal" and "complement"
@@ -386,52 +406,46 @@ def build_glued(m: int, root: int = 0) -> TransferDigraph:
     (0^m by default), folded along rotation and reversal orbits, each orbit
     named by its least word.
 
-    A breadth-first walk from the orbit of ``root`` over orbit
-    representatives: the arcs out of each frontier are generated once,
-    their outlets mapped to the least word of their orbit, and the
-    (source, target) pairs counted.  A commutes with rotation and reversal,
-    so the walk reaches exactly the orbits that meet the component, and the
-    orbit partition is equitable: the quotient G keeps the Perron root.
-    A = Aᵀ makes D·G = Gᵀ·D for D the orbit sizes; that is checked exactly,
-    so S = D^½·G·D^-½, whose entries are sqrt(G_ij·G_ji), is symmetric and
-    similar to G.
+    The component is the root's :func:`charge` class, which rotation and
+    reversal keep, so its vertices are the dihedral orbits of that class,
+    named by their least words.  The arcs out of 256 representatives at a
+    time come from :func:`reduced_arcs`, their outlets are mapped to the
+    least word of their orbit, and the (source, target) pairs are counted;
+    an outlet whose orbit is not a vertex raises.  A commutes with rotation
+    and reversal, so the orbit partition is equitable: the quotient G keeps
+    the Perron root.  A = Aᵀ makes D·G = Gᵀ·D for D the orbit sizes; that
+    is checked exactly, so S = D^½·G·D^-½, whose entries are
+    sqrt(G_ij·G_ji), is symmetric and similar to G.  G is int32: an entry
+    is at most its row sum, Lucas(m) <= 5778.
 
     Vertex order: orbit of ``root``, then orbit of 1^m when present, then
     the remaining orbits by their least member.
     """
     check_width("glued", m)
     size, mask = 1 << m, (1 << m) - 1
-    least = dihedral_least(m)
-    start = int(least[root])
-    seen = np.zeros(size, dtype=bool)
-    seen[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    pairs, mults = [], []
-    while len(frontier):
-        src, outlets = reduced_arcs(frontier, m)
-        target = least[outlets]
-        pair, mult = np.unique((src.astype(np.int64) << m) | target, return_counts=True)
-        pairs.append(pair)
-        mults.append(mult)
-        # the new orbits, ascending, marked rather than np.unique'd: that
-        # imports numpy.ma on first use
-        fresh = np.zeros(size, dtype=bool)
-        fresh[target] = True
-        fresh &= ~seen
-        frontier = np.flatnonzero(fresh)
-        seen |= fresh
-    reps = sorted(np.flatnonzero(seen).tolist(), key=lambda r: (r != start, r != mask, r))
-    index = np.zeros(size, dtype=np.int64)
-    index[reps] = np.arange(len(reps))
-    pair = np.concatenate(pairs)
-    adj = np.zeros((len(reps), len(reps)), dtype=np.int64)
-    adj[index[pair >> m], index[pair & mask]] = np.concatenate(mults)
+    least, words = dihedral_least(m), np.arange(size)
+    charges = charge(words, m)
+    reps = words[(least == words) & (charges == charges[root])]
+    reps = reps[np.lexsort((reps, reps != mask, reps != least[root]))]
+    # vertex[x] is the vertex of the orbit of word x, -1 outside the class;
+    # the int32 pair codes hold n^2 < 2^31 (n = 2056 at m = 17)
+    n, index = len(reps), np.full(size, -1, dtype=np.int32)
+    index[reps] = np.arange(n)
+    vertex = index[least]
+    adj = np.zeros((n, n), dtype=np.int32)
+    for i in range(0, n, 256):
+        src, outlets = reduced_arcs(reps[i : i + 256], m)
+        target = vertex[outlets]
+        if (target < 0).any():
+            raise AssertionError(f"an arc leaves the charge class of m={m} root={root}")
+        pair, mult = np.unique(vertex[src] * n + target, return_counts=True)
+        adj.flat[pair] = mult
     # D·G = Gᵀ·D a block of rows at a time, so that no second D·G is formed
-    d, step = np.bincount(least)[reps], max(1, (1 << 20) // len(reps))
-    for rows in (slice(i, i + step) for i in range(0, len(reps), step)):
+    d, step = np.bincount(least)[reps], max(1, (1 << 20) // n)
+    for rows in (slice(i, i + step) for i in range(0, n, step)):
         if not np.array_equal(d[rows, None] * adj[rows], (d[:, None] * adj[:, rows]).T):
             raise AssertionError(f"D·G is not symmetric on the glued quotient m={m} root={root}")
-    return TransferDigraph("glued", m, np.array(reps, dtype=np.int64), adj)
+    return TransferDigraph("glued", m, reps, adj)
 
 
 def arc_components(nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

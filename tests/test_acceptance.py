@@ -88,7 +88,7 @@ def test_criterion_3_structural_invariants():
             for w in words:
                 assert w[::-1] in words and al.rotate(w, 1) in words
         for m in range(2, 13):
-            first, last = al.first_column_words(m), al.last_column_words(m)
+            first, last = (al.decode_words(al.column_word_codes(m, x), m) for x in ("abc", "bdf"))
             assert len(first) == len(last) == tab["lucas"][str(m)]
 
 

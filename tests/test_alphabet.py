@@ -106,8 +106,8 @@ def test_column_word_lists_are_every_closed_walk_in_order(m):
     # lexicographic, then the ones that close up
     for letters, words in (
         ("abcdef", al.enumerate_column_words(m)),
-        ("abc", al.first_column_words(m)),
-        ("bdf", al.last_column_words(m)),
+        ("abc", al.decode_words(al.column_word_codes(m, "abc"), m)),
+        ("bdf", al.decode_words(al.column_word_codes(m, "bdf"), m)),
     ):
         prefixes = list(letters)
         for _ in range(m - 1):
@@ -166,8 +166,8 @@ def test_column_word_enumeration_leaves_no_reference_cycle():
     gc.disable()
     try:
         al.enumerate_column_words(6)
-        al.first_column_words(6)
-        al.last_column_words(6)
+        al.decode_words(al.column_word_codes(6, "abc"), 6)
+        al.decode_words(al.column_word_codes(6, "bdf"), 6)
         assert gc.collect() == 0
     finally:
         gc.enable()

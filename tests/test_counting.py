@@ -335,7 +335,7 @@ def test_first_column_identity(m):
     # closed walks over admissible first columns equal the shifted
     # b^m -> b^m walk count
     words = al.enumerate_column_words(m)
-    first = al.first_column_words(m)
+    first = al.decode_words(al.column_word_codes(m, "abc"), m)
     for n in range(1, 11):
         total = 0
         for w in first:
@@ -650,7 +650,7 @@ def test_prime_limit_follows_the_widest_engine_row():
     # Lucas(m) counts the first-column words; at the shipped table the widest
     # engine row is glued m = 18, Lucas(18) = 5778
     assert [ct._lucas(w) for w in range(1, 19)] == [
-        len(al.first_column_words(w)) for w in range(1, 19)
+        len(al.decode_words(al.column_word_codes(w, "abc"), w)) for w in range(1, 19)
     ]
     widest = max(tr.LIMITS[kind][0] for kind in ct._KINDS)
     assert ct._PRIME_LIMIT == (1 << 53) // ct._lucas(widest)
@@ -805,7 +805,8 @@ def test_residue_bound_is_the_first_column_count(m):
     # the greatest row sum of G, whose powers bound the entries of G^n e_0,
     # is the number of first-column words, Lucas(m)
     rowmax = int(tr.build_glued(m).adj.sum(axis=1).max())
-    assert rowmax == len(al.first_column_words(m)) == ct._tnc_engine(m).rowmax
+    first = al.decode_words(al.column_word_codes(m, "abc"), m)
+    assert rowmax == len(first) == ct._tnc_engine(m).rowmax
 
 
 def test_engine_refuses_a_non_symmetrisable_quotient(monkeypatch):
@@ -817,10 +818,22 @@ def test_engine_refuses_a_non_symmetrisable_quotient(monkeypatch):
 
 
 def test_trace_engine_refuses_a_component_without_a_start(monkeypatch):
-    # each word its own component: the words that are not the least of
-    # their rotation orbit make blocks with no start
-    monkeypatch.setattr(tr, "arc_components", lambda nodes, src, dst: np.arange(nodes))
+    # each word its own charge class, and self-loops, which keep every law
+    # and every charge: the words that are not the least of their rotation
+    # orbit make blocks with no start
+    monkeypatch.setattr(tr, "charge", lambda words, m: words)
+    monkeypatch.setattr(tr, "reduced_arcs", lambda inlets, m: (inlets, inlets))
     with pytest.raises(AssertionError, match="holds no start"):
+        ct._trace_engine(4)
+
+
+def test_builders_refuse_an_arc_that_changes_the_charge(monkeypatch):
+    # a charge that splits the zero component: some of its arcs leave the
+    # class, and neither the glued quotient nor the trace blocks take it
+    monkeypatch.setattr(tr, "charge", lambda words, m: words & 1)
+    with pytest.raises(AssertionError, match="leaves the charge class"):
+        tr.build_glued(4)
+    with pytest.raises(AssertionError, match="changes the charge"):
         ct._trace_engine(4)
 
 

@@ -323,6 +323,34 @@ def test_matrix_and_word_arcs_give_one_census(m):
     assert labels.tolist() == census.labels and sizes.tolist() == census.sizes
 
 
+@pytest.mark.parametrize("m", range(2, 16))
+def test_reduced_arcs_keep_the_charge(m):
+    words = np.arange(2**m)
+    src, outlets = tr.reduced_arcs(words, m)
+    charges = tr.charge(words, m).astype(np.int8)  # int8 keeps m = 15 small
+    assert np.array_equal(charges[src], charges[outlets])
+
+
+@pytest.mark.parametrize("m", range(2, 14))
+def test_charge_classes_are_the_components(m):
+    # charge 0, 1, ... against the components numbered by their least words
+    words = np.arange(2**m)
+    least = tr.arc_components(2**m, *tr.reduced_arcs(words, m))
+    assert np.array_equal(tr.charge(words, m), np.unique(least, return_inverse=True)[1])
+
+
+@pytest.mark.parametrize("m", range(1, 14))
+def test_rotation_and_reversal_keep_the_charge(m):
+    words = np.arange(2**m)
+    charges = tr.charge(words, m)
+    assert np.array_equal(charges[tr.rotate_words(words, 1, m)], charges)
+    assert np.array_equal(charges[tr.reverse_words(words, m)], charges)
+    # so the least word of each class is the least of its rotations
+    for c in np.unique(charges):
+        least = words[charges == c].min()
+        assert min(tr.rotate_words(least, k, m) for k in range(m)) == least
+
+
 def least_word_order(d, census):
     """The components of neither anchor word, largest first, ties to the
     lesser least member word."""
@@ -517,14 +545,15 @@ def test_glued_limit():
 
 
 def test_column_sets_m2():
-    first, last = al.first_column_words(2), al.last_column_words(2)
+    first, last = (al.decode_words(al.column_word_codes(2, x), 2) for x in ("abc", "bdf"))
     assert set(first) == {"bb", "ac", "ca"}
     assert set(last) == {"bb", "df", "fd"}
 
 
 @pytest.mark.parametrize("m,expected", [(4, 7), (10, 123)])
 def test_column_set_sizes(m, expected):
-    assert len(al.first_column_words(m)) == len(al.last_column_words(m)) == expected
+    first, last = (al.decode_words(al.column_word_codes(m, x), m) for x in ("abc", "bdf"))
+    assert len(first) == len(last) == expected
 
 
 def dumped(d):
