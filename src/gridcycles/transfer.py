@@ -60,7 +60,7 @@ LIMITS = {
     # the dense 2^m-square multiplicity matrix
     "reduced": (14, "reduced dense matrix"),
     # the glued quotient generates the arcs out of each orbit representative
-    # once from the joined chain tables of reduced_arcs, 0.17–0.24 s and
+    # once from the joined chain tables of reduced_arcs, 0.15–0.21 s and
     # 70–76 MB peak RSS at m = 17 and 18; its engine steps one dense block
     "glued": (18, "glued quotient and thin-cylinder counts"),
     # the trace engine steps float64 residues of A^n e_s, one column per
