@@ -9,7 +9,9 @@ output is intended.  The set:
 * ``verify --suite all --json``;
 * ``series tnc m --terms 60`` for m = 2..16;
 * ``series tg|kb m --p p --terms 25`` for m = 2..9 and every twist p;
-* ``digraph m --kind full|reduced|glued --stats --json`` for m = 2..10;
+* ``digraph m --kind full|reduced|glued --stats --json`` for m = 1..10;
+* ``digraph m --kind full --stats --json`` for m = 11, 12 and
+  ``digraph m --kind reduced --stats --json`` for m = 11..13;
 * ``count tnc 13 --n 2000``;
 * ``digraph m --kind glued --dump`` for m = 2..16;
 * ``series tg 10 --p 1 --terms 10`` and ``series kb 11 --p 2 --terms 6``.
@@ -39,6 +41,9 @@ RUNS = (
         for m in range(2, 11)
         for kind in ("full", "reduced", "glued")
     ]
+    + [f"digraph 1 --kind {kind} --stats --json" for kind in ("full", "reduced", "glued")]
+    + [f"digraph {m} --kind full --stats --json" for m in (11, 12)]
+    + [f"digraph {m} --kind reduced --stats --json" for m in (11, 12, 13)]
     + ["count tnc 13 --n 2000"]
     + [f"digraph {m} --kind glued --dump" for m in range(2, 17)]
     + ["series tg 10 --p 1 --terms 10", "series kb 11 --p 2 --terms 6"]
