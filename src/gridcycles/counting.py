@@ -750,22 +750,11 @@ def component_spectra(
     d: transfer.TransferDigraph, census: transfer.ComponentCensus
 ) -> list[Spectrum]:
     """Dominant eigenvalue of every component of a reduced digraph, in the
-    order of its census, each computed on the glued quotient of the charge
-    class of the component's least member.  That class is the component
-    only if the census agrees with :func:`transfer.charge`, so the orbit
-    sizes of each quotient must sum to the component's size; a mismatch
-    raises.  Exposed so the (observed, unproven) agreement between the whole
-    digraph's spectral radius and its 1^m component can be inspected rather
-    than assumed."""
-    orbit_sizes = np.bincount(transfer.dihedral_least(d.m))
-    spectra = []
-    for comp in range(census.n_components):
-        glued = transfer.build_glued(d.m, int(d.words[census.members(comp)[0]]))
-        covered = int(orbit_sizes[glued.words].sum())
-        if covered != census.sizes[comp]:
-            raise AssertionError(
-                f"the orbits of component {comp} (m={d.m}) hold {covered} words, "
-                f"not its {census.sizes[comp]}"
-            )
-        spectra.append(_perron_root(glued))
-    return spectra
+    order of its census, each computed on the glued quotient of the
+    component, a charge class, rooted at its least member.  Exposed so the
+    (observed, unproven) agreement between the whole digraph's spectral
+    radius and its 1^m component can be inspected rather than assumed."""
+    return [
+        _perron_root(transfer.build_glued(d.m, int(d.words[census.members(comp)[0]])))
+        for comp in range(census.n_components)
+    ]

@@ -22,10 +22,11 @@ words on reduced and glued ones; the ``str`` words are decoded only when
 asked for.  Letter-word codes become inlet and outlet classes in
 :func:`word_classes` alone, through per-letter bit tables.  The
 components of the reduced digraph are the classes of :func:`charge`, a
-closed form that every arc keeps; the glued quotient and the torus/Klein
-engine take them from it.  The census :func:`components` searches for
-them with :func:`arc_components` over :meth:`TransferDigraph.arcs` (on a
-full digraph always through binary-word nodes, never a matrix).
+closed form that every arc keeps; the census :func:`components`, the
+glued quotient and the torus/Klein engine all take them from it, and the
+full digraph, the line digraph of the reduced multigraph, has the same
+components.  The label search :func:`arc_components` over the reduced
+arcs is the one independent check that each class is one component.
 
 Every width limit, of these builders and of the counting engines, is one
 row of :data:`LIMITS`, and :func:`check_width` is its one refusal; the
@@ -111,8 +112,7 @@ class TransferDigraph:
     binary word (row j in bit m-1-j) on reduced and glued ones.
     ``adj`` is a dense numpy matrix for reduced/glued digraphs; a full
     digraph holds one only when built with ``with_matrix`` (otherwise
-    ``None``), and its :meth:`arcs` never read it: they join each vertex to
-    its outlet and inlet binary words.
+    ``None``).
     """
 
     kind: str  # "full" | "reduced" | "glued"
@@ -150,20 +150,6 @@ class TransferDigraph:
         hits = np.flatnonzero(self.words == code)
         return int(hits[0]) if len(hits) else None
 
-    def arcs(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """``(nodes, src, dst)``: the node count and one (src[i], dst[i])
-        pair per arc, multiplicity ignored.  On reduced and glued digraphs
-        the nodes are the vertices and the arcs those of the matrix.  On a
-        full digraph, with or without matrix, node len(self) + w stands
-        for the binary word w, with the arcs v -> outlet(v) and
-        inlet(u) -> u, so v reaches u through w exactly when v -> u is an
-        arc.  Reachability among the vertices is unchanged."""
-        if self.kind != "full":
-            return (len(self), *np.nonzero(self.adj))
-        n, vertices = len(self), np.arange(len(self))
-        ins, outs = n + np.array(self.classes)
-        return n + (1 << self.m), np.concatenate([vertices, ins]), np.concatenate([outs, vertices])
-
     def write_json(self, out: TextIO) -> None:
         """Write the digraph as the JSON object {kind, m, vertices, adj},
         ``adj`` the row-major matrix entries, one matrix row at a time."""
@@ -180,13 +166,13 @@ class TransferDigraph:
 
 @dataclass
 class ComponentCensus:
-    """Connected components of a transfer digraph, each verified strongly
-    connected, with the named components identified."""
+    """The strongly connected components of a transfer digraph, numbered by
+    charge, with the named components identified."""
 
     labels: list[int]
     sizes: list[int]
-    zero_id: int | None  # component of b^m (full) / 0^m (reduced)
-    ones_id: int | None  # component of e^m (full) / 1^m (reduced)
+    zero_id: int  # component of b^m (full) / 0^m (reduced)
+    ones_id: int  # component of e^m (full) / 1^m (reduced)
     rest_ids: list[int]  # remaining components, largest first
 
     @property
@@ -354,8 +340,11 @@ def charge(words: np.ndarray, m: int) -> np.ndarray:
     Σ w_j = 2m - Σ u_j - 2·Σ s_j keeps the parity, and at even m the signed
     sum, in which each s_j appears once with each sign, gives alt(w) =
     -alt(u).  Rotation and reversal keep the charge too.  That each class is
-    one component is checked, not proved: against :func:`arc_components` in
-    the tests, and by the vertex counts of :func:`build_glued`.
+    one component is checked, not proved: the component count of the label
+    search :func:`arc_components` over the reduced arcs must equal the
+    number of classes, in ``verify`` for m <= 10 and in the tests for
+    m <= 13, and :func:`build_glued`'s vertex counts must match the shipped
+    ones.
     """
     sign = -1 if m % 2 == 0 else 1
     total = np.zeros(len(words), dtype=np.int64)
@@ -440,8 +429,9 @@ def build_glued(m: int, root: int = 0) -> TransferDigraph:
             raise AssertionError(f"an arc leaves the charge class of m={m} root={root}")
         pair, mult = np.unique(vertex[src] * n + target, return_counts=True)
         adj.flat[pair] = mult
-    # D·G = Gᵀ·D a block of rows at a time, so that no second D·G is formed
-    d, step = np.bincount(least)[reps], max(1, (1 << 20) // n)
+    # D·G = Gᵀ·D a block of rows at a time, each int64 product of at most
+    # about 2^16 entries, so that no second D·G is formed
+    d, step = np.bincount(least)[reps], max(1, (1 << 16) // n)
     for rows in (slice(i, i + step) for i in range(0, n, step)):
         if not np.array_equal(d[rows, None] * adj[rows], (d[:, None] * adj[:, rows]).T):
             raise AssertionError(f"D·G is not symmetric on the glued quotient m={m} root={root}")
@@ -478,22 +468,22 @@ def arc_components(nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 def components(d: TransferDigraph) -> ComponentCensus:
-    """Strongly connected components, which are also the weakly connected
-    ones, numbered by their least vertex; :func:`arc_components` finds them
-    over :meth:`TransferDigraph.arcs` and raises unless each is strongly
-    connected.  The components of neither anchor word go largest first,
-    ties to the lower id: vertex orders are lexicographic apart from the
-    anchor words, so that is the component with the lesser least word."""
-    least = arc_components(*d.arcs())[: len(d)]
-    ids = np.unique(least, return_inverse=True)[1]
-    labels, sizes = ids.tolist(), np.bincount(ids).tolist()
-
-    zero_id, ones_id = (
-        None if (i := d.index(code)) is None else labels[i] for code in d.anchors()
-    )
+    """The components of a full or reduced digraph: the classes of
+    :func:`charge`, numbered by charge, with no graph search.  A reduced
+    vertex is labelled by the charge of its word.  The full digraph is the
+    line digraph of the reduced multigraph (word v is the arc inlet(v) ->
+    outlet(v), and v -> u exactly when outlet(v) = inlet(u)), so its
+    components are those of the reduced digraph and each word is labelled
+    by the charge of its outlet class.  At reduced widths charge order is
+    least-word order: the least word of class c is bits 0, 2, ..., 2c-2.
+    The components of neither anchor word go largest first, ties to the
+    lower charge."""
+    labels = charge(d.classes[1] if d.kind == "full" else d.words, d.m)
+    sizes = np.bincount(labels).tolist()
+    zero_id, ones_id = charge(np.array([0, (1 << d.m) - 1]), d.m).tolist()
     named = {zero_id, ones_id}
     rest = sorted((c for c in range(len(sizes)) if c not in named), key=lambda c: -sizes[c])
-    return ComponentCensus(labels, sizes, zero_id, ones_id, rest)
+    return ComponentCensus(labels.tolist(), sizes, zero_id, ones_id, rest)
 
 
 def component_subdigraph(d: TransferDigraph, census: ComponentCensus, comp_id: int) -> TransferDigraph:

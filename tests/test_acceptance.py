@@ -79,12 +79,10 @@ def test_criterion_3_structural_invariants():
             arcs = tr.reduced_arcs(np.arange(2**m), m)
             assert tr.symmetry_faults(*arcs, m) == [], f"broken laws m={m}"
         for m in range(2, 11):
-            # components() hard-fails unless every component is strongly
-            # connected, for both digraph granularities
-            d = tr.build_reduced(m)
-            census = tr.components(d)
-            tr.components(tr.build_full(m))
-            words = {d.vertices[i] for i in census.members(census.zero_id)}
+            # the label search hard-fails unless every component is strongly
+            # connected; word 0 labels the zero component
+            least = tr.arc_components(2**m, *tr.reduced_arcs(np.arange(2**m), m))
+            words = {format(x, f"0{m}b") for x in np.flatnonzero(least == 0)}
             for w in words:
                 assert w[::-1] in words and al.rotate(w, 1) in words
         for m in range(2, 13):

@@ -153,6 +153,26 @@ def test_digraph_suite_builds_each_width_once(monkeypatch):
     assert sorted(widths) == list(range(2, 11))
 
 
+def test_reduced_component_count_reads_the_label_search(monkeypatch):
+    # a search that splits the word 1^m off its class: every count check
+    # fails, while the sizes, which the charge census gives, still pass
+    search = transfer.arc_components
+
+    def split(nodes, src, dst):
+        least = search(nodes, src, dst)
+        least[nodes - 1] = nodes - 1
+        return least
+
+    monkeypatch.setattr(transfer, "arc_components", split)
+    checks = cli.suite_digraph().checks
+    counts = [c for c in checks if c.name.startswith("reduced component count")]
+    sizes = [c for c in checks if c.name.startswith("reduced component sizes")]
+    assert len(counts) == len(sizes) == 9
+    assert not any(c.passed for c in counts)
+    assert all(c.passed for c in sizes)
+    assert sum(not c.passed for c in checks) == len(counts)
+
+
 @pytest.mark.parametrize(
     "kind,m", [(kind, m) for kind in ("full", "reduced", "glued") for m in ("0", "-3")]
 )

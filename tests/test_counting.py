@@ -383,15 +383,6 @@ def test_component_spectra_match_dense_eigensolves(m):
         assert abs(s.theta - expected) <= 1e-12 * expected
 
 
-def test_component_spectra_refuse_a_component_its_orbits_miss():
-    # a census whose component sizes disagree with the orbit walk
-    d = tr.build_reduced(3)
-    census = tr.components(d)
-    census.sizes[0] += 1
-    with pytest.raises(AssertionError, match="orbits of component 0"):
-        ct.component_spectra(d, census)
-
-
 def test_spectrum_at_the_glued_limit(shared_build, monkeypatch):
     # the Perron root lies between the least and greatest row sums of G
     m = tr.LIMITS["glued"][0]

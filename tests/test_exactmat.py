@@ -27,8 +27,9 @@ def _step_to(engine, n):
 def _layout(m):
     # the trace engine's blocks: each component of A that holds a rotation
     # representative (every one does), by least representative, as
-    # (members, representatives)
-    labels = transfer.components(transfer.build_reduced(m)).labels
+    # (members, representatives); the components come from the label
+    # search over the arcs, not from the charge classes the engine reads
+    labels = transfer.arc_components(1 << m, *transfer.reduced_arcs(np.arange(1 << m), m)).tolist()
     words = [format(x, f"0{m}b") for x in range(1 << m)]
     reps = [x for x, w in enumerate(words) if w == min(rotate(w, k) for k in range(m))]
     order = list(dict.fromkeys(labels[r] for r in reps))
